@@ -53,9 +53,11 @@ from .polynomials import MonomialOrder, PolyIdeal, RationalPolynomial, default_o
 from .groebner import buchberger, initial_ideal
 from .degeneration import (
     LengthCheck,
+    TangentCone,
     check_length_preservation,
     initial_ideal_truncated,
     mu_upper_bound,
+    tangent_cone,
     tangent_cone_initial,
 )
 

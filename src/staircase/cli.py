@@ -12,11 +12,7 @@ import dataclasses
 import sys
 
 from . import __version__
-from .degeneration import (
-    check_length_preservation,
-    mu_upper_bound_details,
-    tangent_cone_initial,
-)
+from .degeneration import mu_upper_bound_details, tangent_cone
 from .errors import ConsistencyError, NotZeroDimensionalError, StaircaseError
 from .groebner import initial_ideal
 from .ideal_io import corpus_to_document, format_rational, ideal_to_document, parse_ideal_file
@@ -24,6 +20,7 @@ from .ideals import MonomialIdeal, colength, integral_closure, is_power_of_maxim
 from .invariants import (
     Codim2Report,
     ZeroDimReport,
+    _mix,
     codim2_corpus,
     multiplicity,
     multiplicity_limit_estimate,
@@ -35,6 +32,7 @@ from .invariants import (
 from .polynomials import PolyIdeal, default_order
 from .polytope import build_polytope, compute_mu
 from .reports import (
+    _gens_compact,
     codim2_report_dict,
     make_document,
     render_json,
@@ -50,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"staircase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, seeded=False, ordered=False):
+    def add(name, help_text, *, seeded=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", help="path to an ideal or corpus document")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
@@ -60,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dim", type=int, default=2)
             p.add_argument("--max-exp", type=int, default=10)
             p.add_argument("--max-gens", type=int, default=8)
-        if ordered:
-            p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
-            p.add_argument("--budget", type=int, default=24)
         return p
 
     add("lct", "diagonal entry value mu and log canonical threshold")
@@ -73,8 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("closure", "integral closure and maximal-power detection")
     add("verify", "zero-dimensional invariant suite over a file or seeded corpus", seeded=True)
     add("codim2", "two-variable factor bounds over a file or seeded corpus", seeded=True)
-    p = add("degenerate", "initial ideal and tangent-cone degeneration of a polynomial ideal", ordered=True)
-    p = add("mu-bound", "certified upper bound for mu via monomial degenerations", ordered=True)
+    p = add("degenerate", "initial ideal and tangent-cone degeneration of a polynomial ideal")
+    p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
+    p.add_argument("--budget", type=int, default=24)
+    p = add("mu-bound", "certified upper bound for mu via monomial degenerations")
+    p.add_argument("--budget", type=int, default=24)
     p.add_argument("--trials", type=int, default=8)
     p = add("gen-corpus", "emit a reproducible corpus document", seeded=True)
     p.add_argument("--mixed", action="store_true", help="do not force zero-dimensionality")
@@ -102,10 +100,6 @@ def _load_poly(args) -> PolyIdeal:
 def _require_input(args):
     if not args.input:
         raise StaircaseError(f"{args.command} needs --input")
-
-
-def _gens_compact(J) -> str:
-    return ";".join(",".join(str(c) for c in g) for g in J.gens)
 
 
 def _facet_dict(f) -> dict:
@@ -216,16 +210,16 @@ def _cmd_degenerate(args):
     I = _load_poly(args)
     order = default_order(args.order, I.n)
     init = initial_ideal(I, order)
-    tc = tangent_cone_initial(I, order, budget=args.budget)
+    cone = tangent_cone(I, order, budget=args.budget)
     try:
-        length = dataclasses.asdict(check_length_preservation(I, order, budget=args.budget))
+        length = dataclasses.asdict(cone.length_check())
     except NotZeroDimensionalError:
         length = None  # finite length needs the ideal itself to be zero-dimensional
     report = {
         "ideal": ideal_to_document(I),
         "order": args.order,
         "initial_ideal": [list(g) for g in init.gens],
-        "tangent_cone_initial": [list(g) for g in tc.gens],
+        "tangent_cone_initial": [list(g) for g in cone.initial.gens],
         "length": length,
     }
     return 0, [report], None
@@ -250,7 +244,7 @@ def _cmd_gen_corpus(args):
     if args.format == "tsv":
         raise StaircaseError("gen-corpus emits JSON corpus documents only")
     ideals = [
-        random_ideal(args.seed * 1_000_003 + i, args.dim, args.max_exp, args.max_gens, not args.mixed)
+        random_ideal(_mix(args.seed, i), args.dim, args.max_exp, args.max_gens, not args.mixed)
         for i in range(args.count)
     ]
     doc = corpus_to_document(ideals)
@@ -319,3 +313,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

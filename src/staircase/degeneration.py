@@ -17,9 +17,10 @@ from fractions import Fraction
 from .errors import ConsistencyError, NotZeroDimensionalError
 from .ideals import MonomialIdeal, colength, exp_min, shift_ideal
 from .macaulay import (
+    TruncationData,
     certify_truncation,
+    certify_truncations,
     initial_ideal_pivots,
-    tangent_cone_initial_pivots,
 )
 from .polynomials import (
     MonomialOrder,
@@ -53,7 +54,57 @@ def monomial_content_split(I: PolyIdeal) -> tuple[tuple[int, ...], PolyIdeal]:
     return tuple(content), PolyIdeal(I.n, shifted)
 
 
-def tangent_cone_initial(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> MonomialIdeal:
+@dataclass(frozen=True)
+class LengthCheck:
+    l_orig: int
+    l_initial: int
+    equal: bool
+
+
+def _require_finite_length(n: int, content: tuple[int, ...]) -> None:
+    """A nonzero monomial content x^c puts the ideal inside some (x_i), which
+    is not m-primary once n >= 2; in one variable x^c is a power of m."""
+    if n >= 2 and any(content):
+        raise NotZeroDimensionalError(
+            f"the monomial factor x^{list(content)} makes the length at the origin infinite"
+        )
+
+
+@dataclass(frozen=True)
+class TangentCone:
+    """The tangent-cone degeneration of an ideal, from one certification of
+    its content-free part."""
+
+    content: tuple[int, ...]
+    truncation: TruncationData  # of the content-free part
+    initial: MonomialIdeal  # initial ideal of the tangent cone, content shifted back
+
+    def length_check(self) -> LengthCheck:
+        """Length at the origin before and after degeneration; they must agree.
+
+        Before: the truncation rank of the content-free part, plus the
+        content in one variable, where length(x^c J) = c + length(J).  After:
+        the colength of the monomial ideal.  A mismatch on exact data means a
+        bug in one of the two pipelines, so it raises ConsistencyError rather
+        than returning quietly.
+        """
+        _require_finite_length(self.initial.n, self.content)
+        l_orig = sum(self.content) + self.truncation.local_length
+        l_initial = colength(self.initial)
+        check = LengthCheck(l_orig=l_orig, l_initial=l_initial, equal=l_orig == l_initial)
+        if not check.equal:
+            raise ConsistencyError(
+                f"degeneration changed the length: {l_orig} != {l_initial} on {self.initial}", report=check
+            )
+        return check
+
+
+def _cone(n: int, content: tuple[int, ...], data: TruncationData) -> TangentCone:
+    inner = MonomialIdeal(n, data.pivot_exponents)
+    return TangentCone(content, data, shift_ideal(inner, content) if any(content) else inner)
+
+
+def tangent_cone(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> TangentCone:
     """Monomial degeneration: split the monomial content, degenerate the
     zero-dimensional part to the initial ideal of its tangent cone, shift back.
 
@@ -63,8 +114,12 @@ def tangent_cone_initial(I: PolyIdeal, order: MonomialOrder | None = None, budge
     if order is None:
         order = default_order("grevlex", I.n)
     content, primitive = monomial_content_split(I)
-    inner = tangent_cone_initial_pivots(primitive, order, budget)
-    return shift_ideal(inner, content) if any(content) else inner
+    return _cone(I.n, content, certify_truncation(primitive, order, budget))
+
+
+def tangent_cone_initial(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> MonomialIdeal:
+    """Initial ideal of the tangent cone of I; see tangent_cone."""
+    return tangent_cone(I, order, budget).initial
 
 
 def initial_ideal_truncated(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -> MonomialIdeal:
@@ -76,30 +131,11 @@ def initial_ideal_truncated(I: PolyIdeal, order: MonomialOrder, budget: int = 24
     return initial_ideal_pivots(I, order, budget)
 
 
-@dataclass(frozen=True)
-class LengthCheck:
-    l_orig: int
-    l_initial: int
-    equal: bool
-
-
 def check_length_preservation(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> LengthCheck:
-    """Length at the origin before and after degeneration; they must agree.
-
-    A mismatch on exact data means a bug in one of the two pipelines, so it
-    raises ConsistencyError rather than returning quietly.
-    """
-    if order is None:
-        order = default_order("grevlex", I.n)
-    data = certify_truncation(I, order, budget)
-    l_orig = data.local_length
-    l_initial = colength(tangent_cone_initial(I, order, budget))
-    check = LengthCheck(l_orig=l_orig, l_initial=l_initial, equal=l_orig == l_initial)
-    if not check.equal:
-        raise ConsistencyError(
-            f"degeneration changed the length: {l_orig} != {l_initial} on {I}", report=check
-        )
-    return check
+    """TangentCone.length_check of I.  A monomial factor in n >= 2 variables
+    raises NotZeroDimensionalError before any truncation runs."""
+    _require_finite_length(I.n, monomial_content_split(I)[0])
+    return tangent_cone(I, order, budget).length_check()
 
 
 def _shear_matrix(rng: random.Random, n: int) -> list[list[int]]:
@@ -142,16 +178,24 @@ def mu_upper_bound(I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = 2
 def mu_upper_bound_details(
     I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = 24
 ) -> list[tuple[str, Fraction | None]]:
-    """Per-trial mu values (None when the trial's certificate failed)."""
+    """Per-trial mu values (None when the trial's certificate failed).
+
+    The base orders degenerate the same content-free part, so its N is
+    searched once (certify_truncations); each shear changes the ideal and
+    searches its own.
+    """
     from .polytope import compute_mu
 
-    out: list[tuple[str, Fraction | None]] = []
-    for label, order in _base_trials(I.n):
-        try:
-            J = tangent_cone_initial(I, order, budget)
-            out.append((label, compute_mu(J).mu))
-        except NotZeroDimensionalError:
-            out.append((label, None))
+    base = _base_trials(I.n)
+    content, primitive = monomial_content_split(I)
+    try:
+        truncations = certify_truncations(primitive, [order for _, order in base], budget)
+        out = [
+            (label, compute_mu(_cone(I.n, content, data).initial).mu)
+            for (label, _), data in zip(base, truncations)
+        ]
+    except NotZeroDimensionalError:
+        out = [(label, None) for label, _ in base]
     rng = random.Random(seed)
     order = default_order("grevlex", I.n)
     for t in range(trials):
@@ -159,8 +203,7 @@ def mu_upper_bound_details(
         label = f"shear[{t}] rows={m}"
         transformed = PolyIdeal(I.n, tuple(substitute_linear(g, m) for g in I.gens))
         try:
-            J = tangent_cone_initial(transformed, order, budget)
-            out.append((label, compute_mu(J).mu))
+            out.append((label, compute_mu(tangent_cone_initial(transformed, order, budget)).mu))
         except NotZeroDimensionalError:
             out.append((label, None))
     return out

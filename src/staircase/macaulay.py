@@ -15,55 +15,64 @@ Two column orders extract different information from the same rows:
   the true leading monomial, so the pivot set generates the initial ideal of
   the ideal itself.
 
-Certification searches N = 2, 3, ... up to a budget: the degree-N slice is
-fully covered by pivots exactly when m^N is contained in the ideal locally
-at the origin.
+Certification searches N = 2, 3, ... up to a budget, once per ideal: the
+degree-N slice is fully covered by pivots exactly when m^N is contained in
+the ideal locally at the origin.  The search does not depend on the order.
+In the degree-ascending layout the number of degree-d pivots is the
+dimension of the space of degree-d lowest forms of the row space, and the
+order inside a degree only picks which monomials lead, not how many.  So
+the smallest certified N, a failure to certify, and the rank are the same
+under every order, and further orders need one truncation each, at that N.
+
+Elimination is fraction-free: rows hold Python ints, each generator is
+scaled once to integer coefficients, a row is reduced by a pivot as
+row := (a/g) row - (c/g) pivot with g = gcd(a, c), and pivot rows are made
+primitive.  The pivot set and the rank depend only on the row space, so
+they are those of elimination over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
-from .errors import FormatError, NotZeroDimensionalError
+from .errors import ConsistencyError, FormatError, NotZeroDimensionalError
 from .ideals import Exponent, MonomialIdeal
-from .polynomials import MonomialOrder, PolyIdeal, monomials_of_degree
-
-
-def _columns_tangent_cone(n: int, N: int, order: MonomialOrder) -> list[Exponent]:
-    cols: list[Exponent] = []
-    for d in range(N + 1):
-        cols.extend(sorted(monomials_of_degree(n, d), key=order.key, reverse=True))
-    return cols
-
-
-def _columns_initial(n: int, N: int, order: MonomialOrder) -> list[Exponent]:
-    all_mons = [e for d in range(N + 1) for e in monomials_of_degree(n, d)]
-    return sorted(all_mons, key=order.key, reverse=True)
+from .polynomials import MonomialOrder, PolyIdeal, default_order, monomials_of_degree
 
 
 class _Echelon:
-    """Sparse row echelon over the rationals, pivoting on the smallest column index."""
+    """Sparse row echelon over the integers, pivoting on the smallest column index.
+
+    Rows map columns to nonzero ints; pivot rows are primitive with a
+    positive leading entry.
+    """
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
 
-    def insert(self, row: dict[int, Fraction]) -> int | None:
+    def insert(self, row: dict[int, int]) -> int | None:
+        pivots = self.pivots
         while row:
             j = min(row)
-            piv = self.pivots.get(j)
+            piv = pivots.get(j)
             if piv is None:
-                inv = 1 / row[j]
-                row = {k: v * inv for k, v in row.items()}
-                self.pivots[j] = row
+                g = gcd(*row.values())
+                if row[j] < 0:
+                    g = -g
+                pivots[j] = row if g == 1 else {k: v // g for k, v in row.items()}
                 return j
-            c = row[j]
+            a, c = piv[j], row[j]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
             for k, v in piv.items():
-                newv = row.get(k, Fraction(0)) - c * v
-                if newv == 0:
-                    row.pop(k, None)
+                new = row.get(k, 0) - c * v
+                if new:
+                    row[k] = new
                 else:
-                    row[k] = newv
+                    del row[k]
         return None
 
     @property
@@ -71,31 +80,59 @@ class _Echelon:
         return len(self.pivots)
 
 
-def _macaulay_rows(I: PolyIdeal, N: int, col_index: dict[Exponent, int]):
-    """All truncated monomial multiples of the generators, as sparse rows."""
-    n = I.n
+def _key(e: Exponent, base: int) -> int:
+    k = 0
+    for x in reversed(e):
+        k = k * base + x
+    return k
+
+
+def _integer_terms(I: PolyIdeal, base: int) -> list[list[tuple[int, int, int]]]:
+    """Each generator scaled to primitive integer coefficients, as (degree,
+    key, coefficient) sorted by degree; the key of x^e is sum e_i base^i."""
+    out = []
     for g in I.gens:
-        ordg = g.order_at_origin()
-        if ordg > N:
-            continue
-        for d in range(N - ordg + 1):
-            for m in monomials_of_degree(n, d):
-                row: dict[int, Fraction] = {}
-                for e, c in g.terms.items():
-                    te = tuple(a + b for a, b in zip(e, m))
-                    if sum(te) <= N:
-                        row[col_index[te]] = row.get(col_index[te], Fraction(0)) + c
-                yield {k: v for k, v in row.items() if v != 0}
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        coeffs = [c.numerator * (den // c.denominator) for c in g.terms.values()]
+        content = gcd(*coeffs)
+        out.append(sorted((sum(e), _key(e, base), c // content) for e, c in zip(g.terms, coeffs)))
+    return out
+
+
+def _eliminate(I: PolyIdeal, N: int, cols: list[Exponent]) -> _Echelon:
+    """Echelon of all truncated monomial multiples of the generators.
+
+    cols lists every monomial of degree <= N once; a row's columns are the
+    positions of its surviving terms in that list.  Exponents in a
+    truncated term stay <= N, so keys in base N + 1 add like exponents.
+    """
+    base = N + 1
+    col_of = {}
+    multipliers = [[] for _ in range(N + 1)]  # keys of the monomials of each degree
+    for j, e in enumerate(cols):
+        k = _key(e, base)
+        col_of[k] = j
+        multipliers[sum(e)].append(k)
+    ech = _Echelon()
+    for terms in _integer_terms(I, base):
+        low = terms[0][0]
+        for d in range(N - low + 1):
+            kept = [(k, c) for deg, k, c in terms if deg + d <= N]
+            for m in multipliers[d]:
+                ech.insert({col_of[k + m]: c for k, c in kept})
+    return ech
 
 
 @dataclass(frozen=True)
 class TruncationData:
-    """Result of a successful certification at truncation exponent N."""
+    """Tangent-cone truncation at exponent N; certified when every degree-N
+    monomial is a pivot."""
 
     N: int
     rank: int
     dim_truncated: int  # number of monomials of degree <= N
     pivot_exponents: tuple[Exponent, ...]
+    certified: bool
 
     @property
     def local_length(self) -> int:
@@ -103,14 +140,17 @@ class TruncationData:
 
 
 def _run_truncation(I: PolyIdeal, N: int, order: MonomialOrder) -> TruncationData:
-    cols = _columns_tangent_cone(I.n, N, order)
-    col_index = {e: i for i, e in enumerate(cols)}
-    ech = _Echelon()
-    for row in _macaulay_rows(I, N, col_index):
-        if row:
-            ech.insert(row)
-    pivots = tuple(sorted(cols[j] for j in ech.pivots))
-    return TruncationData(N=N, rank=ech.rank, dim_truncated=len(cols), pivot_exponents=pivots)
+    slices = [sorted(monomials_of_degree(I.n, d), key=order.key, reverse=True) for d in range(N + 1)]
+    cols = [e for s in slices for e in s]
+    ech = _eliminate(I, N, cols)
+    top = len(cols) - len(slices[N])  # first degree-N column
+    return TruncationData(
+        N=N,
+        rank=ech.rank,
+        dim_truncated=len(cols),
+        pivot_exponents=tuple(sorted(cols[j] for j in ech.pivots)),
+        certified=sum(1 for j in ech.pivots if j >= top) == len(slices[N]),
+    )
 
 
 def certify_truncation(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> TruncationData:
@@ -121,22 +161,34 @@ def certify_truncation(I: PolyIdeal, order: MonomialOrder | None = None, budget:
     pipeline.  Raises NotZeroDimensionalError when the budget runs out.
     """
     if order is None:
-        order = MonomialOrder("grevlex", priority=tuple(reversed(range(I.n))))
+        order = default_order("grevlex", I.n)
     for N in range(2, budget + 1):
         data = _run_truncation(I, N, order)
-        top = set(monomials_of_degree(I.n, N))
-        covered = top.intersection(data.pivot_exponents)
-        if len(covered) == len(top):
+        if data.certified:
             return data
     raise NotZeroDimensionalError(
         f"could not certify a maximal-ideal power inside the ideal up to exponent {budget}"
     )
 
 
-def tangent_cone_initial_pivots(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -> MonomialIdeal:
-    """Initial ideal of the tangent cone, from the degree-graded pivot set."""
-    data = certify_truncation(I, order, budget)
-    return MonomialIdeal(I.n, data.pivot_exponents)
+def certify_truncations(I: PolyIdeal, orders: list[MonomialOrder], budget: int = 24) -> list[TruncationData]:
+    """certify_truncation under each order, searching N once.
+
+    The search runs under the first order; every other order gets one
+    truncation at the N found.  Certification and rank do not depend on the
+    order, so a disagreement raises ConsistencyError.
+    """
+    first = certify_truncation(I, orders[0], budget)
+    out = [first]
+    for order in orders[1:]:
+        data = _run_truncation(I, first.N, order)
+        if not data.certified or data.rank != first.rank:
+            raise ConsistencyError(
+                f"truncation at N = {first.N} depends on the order: rank {data.rank} under {order}, "
+                f"{first.rank} under {orders[0]} on {I}"
+            )
+        out.append(data)
+    return out
 
 
 def initial_ideal_pivots(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -> MonomialIdeal:
@@ -149,16 +201,10 @@ def initial_ideal_pivots(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -
     """
     if not order.is_degree_compatible(I.n):
         raise FormatError("the truncated initial-ideal oracle needs a degree-compatible order")
-    data = certify_truncation(I, order, budget)
-    N = data.N
-    cols = _columns_initial(I.n, N, order)
-    col_index = {e: i for i, e in enumerate(cols)}
-    ech = _Echelon()
-    for row in _macaulay_rows(I, N, col_index):
-        if row:
-            ech.insert(row)
-    pivots = tuple(sorted(cols[j] for j in ech.pivots))
-    return MonomialIdeal(I.n, pivots)
+    N = certify_truncation(I, order, budget).N
+    cols = sorted((e for d in range(N + 1) for e in monomials_of_degree(I.n, d)), key=order.key, reverse=True)
+    ech = _eliminate(I, N, cols)
+    return MonomialIdeal(I.n, tuple(cols[j] for j in ech.pivots))
 
 
 def truncated_length(I: PolyIdeal, budget: int = 24) -> int:

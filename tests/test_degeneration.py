@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -316,3 +318,148 @@ class TestMuUpperBound:
         )
         with pytest.raises(NotZeroDimensionalError):
             mu_upper_bound(I, trials=2, seed=0, budget=8)
+
+
+def _fraction_pivots(rows, ncols):
+    """Pivot columns and rank of rational Gaussian elimination, columns
+    taken left to right: the oracle for the integer echelon."""
+    mat = [[F(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    pivots, r = [], 0
+    for j in range(ncols):
+        k = next((i for i in range(r, len(mat)) if mat[i][j] != 0), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][j] / mat[r][j]
+            if f:
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(j)
+        r += 1
+    return pivots, r
+
+
+class TestIntegerEchelon:
+    @given(
+        rows=st.lists(
+            st.dictionaries(st.integers(0, 11), st.sampled_from([-6, -3, -2, -1, 1, 2, 3, 4, 9]), min_size=1, max_size=4),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_matches_rational_elimination(self, rows):
+        from staircase.macaulay import _Echelon
+
+        first, last = rows[0], rows[-1]  # plus one dependent row
+        combo = {j: 2 * first.get(j, 0) - 3 * last.get(j, 0) for j in first.keys() | last.keys()}
+        rows = rows + [{j: v for j, v in combo.items() if v}]
+        ech = _Echelon()
+        for row in rows:
+            if row:
+                ech.insert(dict(row))
+        assert (sorted(ech.pivots), ech.rank) == _fraction_pivots(rows, 12)
+        for j, row in ech.pivots.items():  # primitive integer rows led at their pivot
+            assert min(row) == j and row[j] > 0
+            assert all(isinstance(v, int) for v in row.values())
+            assert math.gcd(*row.values()) == 1
+
+
+class TestCertifyOnce:
+    def test_certified_n_and_rank_do_not_depend_on_the_order(self):
+        from staircase.degeneration import _base_trials
+        from staircase.macaulay import certify_truncation
+
+        for i in range(12):
+            n = 2 if i % 2 == 0 else 3
+            I = random_origin_ideal(mix(4242, i), n)
+            found = {
+                (data.N, data.rank)
+                for data in (certify_truncation(I, order) for _, order in _base_trials(n))
+            }
+            assert len(found) == 1
+
+    def test_certify_truncations_searches_once(self, monkeypatch):
+        from staircase import macaulay
+        from staircase.degeneration import _base_trials
+
+        I = random_origin_ideal(mix(4242, 1), 3)
+        orders = [order for _, order in _base_trials(3)]
+        calls = _count_truncations(monkeypatch)
+        datas = macaulay.certify_truncations(I, orders)
+        N = datas[0].N
+        assert calls[: N - 1] == list(range(2, N + 1))
+        assert calls[N - 1 :] == [N] * (len(orders) - 1)
+        for data, order in zip(datas, orders):
+            assert data == macaulay.certify_truncation(I, order)
+
+    def test_degenerate_searches_n_once(self, monkeypatch, tmp_path):
+        from staircase.cli import main
+        from staircase.ideal_io import ideal_to_document
+        from staircase.macaulay import certify_truncation
+
+        I = random_origin_ideal(mix(515, 3), 3)
+        N = certify_truncation(I).N
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(ideal_to_document(I)))
+        calls = _count_truncations(monkeypatch)
+        assert main(["degenerate", "--input", str(path)]) == 0
+        assert calls == list(range(2, N + 1))
+
+    def test_monomial_factor_runs_no_extra_truncation(self, monkeypatch, capsys, tmp_path):
+        # the worked ideal x2^2 (x1^6, x2^2 + x1^2 x2) lies in (x2): its length
+        # is infinite, which is known before any truncation of the ideal itself
+        from staircase.cli import main
+        from staircase.ideal_io import ideal_to_document
+        from staircase.macaulay import certify_truncation
+
+        N = certify_truncation(BOUNDARY_PRIMITIVE).N
+        path = tmp_path / "worked.json"
+        path.write_text(json.dumps(ideal_to_document(BOUNDARY_IDEAL)))
+        calls = _count_truncations(monkeypatch)
+        assert main(["degenerate", "--input", str(path)]) == 0
+        rep = json.loads(capsys.readouterr().out)["reports"][0]
+        assert rep["length"] is None
+        assert rep["tangent_cone_initial"] == [[0, 4], [6, 2]]
+        assert calls == list(range(2, N + 1))  # the content-free part only
+        del calls[:]
+        with pytest.raises(NotZeroDimensionalError):
+            check_length_preservation(BOUNDARY_IDEAL)
+        assert calls == []
+
+    def test_one_variable_content_has_finite_length(self):
+        # x^3 (1 + x) generates (x^3) locally: length 3 before and after
+        I = PolyIdeal(1, (P(1, (1, (3,)), (1, (4,))),))
+        check = check_length_preservation(I)
+        assert check.l_orig == 3 == check.l_initial and check.equal
+
+    def test_rational_coefficients_match_integer_multiple(self, capsys, tmp_path):
+        from staircase.cli import main
+        from staircase.ideal_io import ideal_to_document
+
+        halves = PolyIdeal(2, (P(2, (F(1, 2), (2, 0)), (F(3, 7), (1, 1))), P(2, (F(5, 3), (0, 3)), (1, (1, 2)))))
+        scaled = PolyIdeal(2, tuple(g.scale(42) for g in halves.gens))
+        reports = []
+        for I in (halves, scaled):
+            path = tmp_path / "ideal.json"
+            path.write_text(json.dumps(ideal_to_document(I)))
+            assert main(["degenerate", "--input", str(path)]) == 0
+            rep = json.loads(capsys.readouterr().out)["reports"][0]
+            del rep["ideal"]  # echoes the coefficients
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        assert reports[0]["length"]["equal"] is True
+
+
+def _count_truncations(monkeypatch) -> list[int]:
+    """Record the N of every _run_truncation call."""
+    from staircase import macaulay
+
+    calls: list[int] = []
+    real = macaulay._run_truncation
+
+    def counted(I, N, order):
+        calls.append(N)
+        return real(I, N, order)
+
+    monkeypatch.setattr(macaulay, "_run_truncation", counted)
+    return calls

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,11 @@ class TestCli:
         assert rep["mu_upper_bound"] == "3"
         assert any(t["mu"] == "3" for t in rep["trials"])
 
+    def test_mu_bound_has_no_order_flag(self, capsys, poly_file):
+        # mu-bound tries every built-in order, so an --order flag would do nothing
+        code, _, err = run_cli(capsys, "mu-bound", "--input", poly_file, "--order", "lex")
+        assert code == 2 and "--order" in err
+
     def test_gen_corpus_feeds_verify(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "gen-corpus", "--seed", "11", "--count", "6", "--dim", "2")
         assert code == 0
@@ -220,7 +229,12 @@ class TestCli:
         assert len(parse_ideal_file(corpus)) == 6
         code, out, _ = run_cli(capsys, "verify", "--input", str(corpus))
         assert code == 0
-        assert len(json.loads(out)["reports"]) == 6
+        from_file = json.loads(out)["reports"]
+        assert len(from_file) == 6
+        # the same seed reproduces the same ideals through either path
+        code, out, _ = run_cli(capsys, "verify", "--seed", "11", "--count", "6", "--dim", "2")
+        assert code == 0
+        assert json.loads(out)["reports"] == from_file
 
     def test_gen_corpus_rejects_tsv(self, capsys):
         code, _, err = run_cli(capsys, "gen-corpus", "--count", "2", "--format", "tsv")
@@ -254,3 +268,18 @@ class TestCli:
         doc = json.loads(out)
         assert doc["failed"] == 3
         assert all("mult_diagonal" in r["violations"] for r in doc["reports"])
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(BOUNDARY_DOC))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for module in ("staircase", "staircase.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "lct", "--input", str(path)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["command"] == "lct" and doc["reports"][0]["mu"] == "3"
