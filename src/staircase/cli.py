@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a verified inequality failed (a counterexample
 document is printed, which signals an implementation bug), 2 usage or input
-errors.  All reports are deterministic for a fixed invocation and seed.
+errors (including inputs over a resource budget), 3 an unexpected error such
+as running out of memory (one line on stderr).  All reports are deterministic
+for a fixed invocation and seed.
 """
 
 from __future__ import annotations
@@ -309,6 +311,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"staircase {args.command}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"staircase {args.command}: out of memory", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"staircase {args.command}: unexpected error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 def main_entry() -> None:

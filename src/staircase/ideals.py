@@ -17,8 +17,9 @@ from .errors import DimensionError, FormatError, ResourceError
 
 Exponent = tuple[int, ...]
 
-# Boxes larger than this are refused by the enumeration routines.
-MAX_BOX_CELLS = 200_000_000
+# The box scans refuse, before allocating, any scan whose arrays would take
+# more bytes than this.
+MAX_SCAN_BYTES = 200_000_000
 
 
 def divides(a: Exponent, b: Exponent) -> bool:
@@ -140,11 +141,17 @@ def pure_power_degrees(J: MonomialIdeal) -> tuple[int, ...]:
     return tuple(degs)
 
 
+def _check_scan_budget(what: str, cells: int, bytes_per_cell: int) -> None:
+    need = cells * bytes_per_cell
+    if need > MAX_SCAN_BYTES:
+        raise ResourceError(
+            f"{what} with {cells} cells needs about {need} bytes, over the {MAX_SCAN_BYTES}-byte scan budget"
+        )
+
+
 def _standard_monomial_mask(J: MonomialIdeal, box: tuple[int, ...]) -> np.ndarray:
     """Boolean array over prod(range(b) for b in box), True on monomials outside J."""
-    cells = math.prod(box)
-    if cells > MAX_BOX_CELLS:
-        raise ResourceError(f"staircase box with {cells} cells exceeds the enumeration budget")
+    _check_scan_budget("staircase box", math.prod(box), 1)
     arr = np.ones(box, dtype=bool)
     for g in J.gens:
         if all(gi < bi for gi, bi in zip(g, box)):
@@ -232,7 +239,10 @@ def integral_closure(J: MonomialIdeal) -> MonomialIdeal:
 
     Scans the box bounded by the componentwise maximum of the generators;
     any minimal generator of the closure is dominated by that bound, and
-    points outside it are divisible by a point inside.
+    points outside it are divisible by a point inside.  Each cell costs 8
+    bytes per coordinate (the index array), 1 for the membership mask and
+    what the facet test allocates per point; the first two are checked before
+    the facets are enumerated, all three before the scan.
     """
     from .polytope import build_polytope
 
@@ -241,9 +251,9 @@ def integral_closure(J: MonomialIdeal) -> MonomialIdeal:
         box = exp_max(box, g)
     shape = tuple(b + 1 for b in box)
     cells = math.prod(shape)
-    if cells > MAX_BOX_CELLS:
-        raise ResourceError(f"closure box with {cells} cells exceeds the enumeration budget")
+    _check_scan_budget("closure box", cells, 8 * J.n + 1)
     P = build_polytope(J)
+    _check_scan_budget("closure box", cells, 8 * J.n + 1 + P.batch_bytes_per_point())
     pts = np.indices(shape).reshape(J.n, -1).T
     mask = P.contains_lattice_batch(pts).reshape(shape)
     # Minimal elements of an upward-closed set: no immediate predecessor inside.
@@ -260,15 +270,24 @@ def integral_closure(J: MonomialIdeal) -> MonomialIdeal:
 
 
 def is_power_of_maximal(J: MonomialIdeal) -> int | None:
-    """If the integral closure is the q-th power of the maximal ideal, return q."""
-    closure = integral_closure(J)
-    degs = {degree(g) for g in closure.gens}
-    if len(degs) != 1:
+    """If the integral closure is the q-th power of the maximal ideal (q >= 1), return q.
+
+    Criterion: the closure is m^q exactly when J is zero-dimensional, every
+    pure-power degree equals q, and every generator has degree >= q.
+    Proof: the closure is the ideal of lattice points of P(J), so it is m^q
+    iff P(J) = {u >= 0 : sum u >= q}.  P(J) meets axis i in [d_i, oo), so
+    equality forces d_i = q, and it contains every generator g, so sum g >= q.
+    Conversely the pure powers x_i^q put P(m^q) inside P(J), and the halfspace
+    sum u >= q holds on every generator, hence on all of P(J).  No facets and
+    no box are needed, so this stays independent of the volumetric test
+    e(J) = n^n mu^n that the equality case compares it with.
+    """
+    try:
+        degs = pure_power_degrees(J)
+    except DimensionError:
         return None
-    q = degs.pop()
-    if q == 0:
-        return None
-    if len(closure.gens) != math.comb(q + J.n - 1, J.n - 1):
+    q = degs[0]
+    if q == 0 or any(d != q for d in degs) or any(degree(g) < q for g in J.gens):
         return None
     return q
 

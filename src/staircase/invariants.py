@@ -123,7 +123,7 @@ def verify_zero_dim(J: MonomialIdeal, *, fatal: bool = True) -> ZeroDimReport:
     mu = compute_mu(J).mu
     length = colength(J)
     covol = covolume(J)
-    mult = multiplicity(J)
+    mult = covol  # the multiplicity of a zero-dimensional ideal is its covolume
     diag = Fraction(n) ** n * mu**n
     q = is_power_of_maximal(J)
     report = ZeroDimReport(

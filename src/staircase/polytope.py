@@ -206,12 +206,24 @@ class NewtonPolytope:
         b.append(Fraction(1))
         return lp_feasible(A, b)
 
+    def batch_bytes_per_point(self) -> int:
+        """Upper bound on the bytes contains_lattice_batch allocates per int64 query point.
+
+        With int64 arithmetic: 8 per facet value and 1 per comparison.  When
+        the values may overflow int64 they are Python ints, about 40 bytes
+        each with their pointer, and so are the converted coordinates.
+        """
+        facets = len(self.facets)
+        if _facet_dtype(self.points, self.n) is object:
+            return 40 * (self.n + facets) + facets
+        return 8 * facets + facets
+
     def contains_lattice_batch(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for integer points (rows of pts)."""
         facets = self.facets
         C = np.array([f.coefficients for f in facets], dtype=object if _facet_dtype(self.points, self.n) is object else np.int64)
         r = np.array([f.rhs for f in facets], dtype=C.dtype)
-        vals = pts.astype(C.dtype) @ C.T
+        vals = pts.astype(C.dtype, copy=False) @ C.T
         return (vals >= r[None, :]).all(axis=1)
 
 

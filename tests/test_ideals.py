@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from staircase import (
     GcdFactorization,
     MonomialIdeal,
     RationalPolynomial,
+    ResourceError,
     colength,
     colength_inclusion_exclusion,
     contains_polynomial,
@@ -26,7 +29,9 @@ from staircase import (
     minimalize,
     shift_ideal,
 )
-from staircase.invariants import random_ideal
+from staircase import ideals as ideals_module
+from staircase import polytope as polytope_module
+from staircase.invariants import codim2_corpus, random_ideal, zero_dim_corpus
 
 M2 = MonomialIdeal(2, [(1, 0), (0, 1)])
 
@@ -187,6 +192,42 @@ class TestIntegralClosure:
         assert integral_closure(B).contains_ideal(integral_closure(A))
 
 
+def closure_power_oracle(J):
+    """The box-scan answer: q when the integral closure of J is m^q with q >= 1, else None.
+
+    The closure is m^q when its minimal generators all have degree q and
+    number C(q + n - 1, n - 1), i.e. they are every monomial of degree q.
+    """
+    closure = integral_closure(J)
+    degs = {sum(g) for g in closure.gens}
+    if len(degs) != 1:
+        return None
+    q = degs.pop()
+    if q == 0 or len(closure.gens) != math.comb(q + J.n - 1, J.n - 1):
+        return None
+    return q
+
+
+def near_power(rng, n, q):
+    """m^q with some generators dropped, moved up or down one step, plus random extras."""
+    gens = []
+    for g in maximal_ideal_power(n, q).gens:
+        roll = rng.random()
+        if roll < 0.15:
+            continue
+        g = list(g)
+        i = rng.randrange(n)
+        if roll < 0.3:
+            g[i] += 1
+        elif roll < 0.4 and g[i] > 0:
+            g[i] -= 1
+        gens.append(tuple(g))
+    for _ in range(rng.randint(0, 2)):
+        gens.append(tuple(rng.randint(0, q + 1) for _ in range(n)))
+    gens = [g for g in gens if any(g)]
+    return MonomialIdeal(n, gens or [(q,) * n])
+
+
 class TestPowerOfMaximal:
     def test_detected(self):
         assert is_power_of_maximal(MonomialIdeal(2, [(4, 0), (0, 4)])) == 4
@@ -196,6 +237,69 @@ class TestPowerOfMaximal:
 
     def test_maximal_itself(self):
         assert is_power_of_maximal(M2) == 1
+
+    def test_unit_and_non_zero_dimensional(self):
+        assert is_power_of_maximal(MonomialIdeal(3, [(0, 0, 0)])) is None
+        assert is_power_of_maximal(MonomialIdeal(2, [(2, 0), (1, 1)])) is None
+
+    def test_agrees_with_closure_on_acceptance_corpus(self):
+        # the acceptance[3] corpus: 250 ideals of each of n = 1..4
+        corpus = zero_dim_corpus(seed=20260809, count=1000, dims=(1, 2, 3, 4), max_exp=10, max_gens=8)
+        powers = 0
+        for J in corpus:
+            q = closure_power_oracle(J)
+            assert is_power_of_maximal(J) == q, J
+            powers += q is not None
+        assert powers >= 250  # every one-variable ideal is a power, and some others are
+
+    def test_agrees_with_closure_off_zero_dimensional(self):
+        ideals = codim2_corpus(seed=4242, count=200)
+        ideals += [random_ideal(seed=7100 + i, n=1 + i % 4, max_exp=6, max_gens=6, force_zero_dim=False) for i in range(200)]
+        for J in ideals:
+            assert is_power_of_maximal(J) == closure_power_oracle(J), J
+
+    # m^5 in four variables is left out: its 56 generators make the oracle's
+    # facet enumeration take seconds per ideal
+    @pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3, 4) for q in (1, 2, 3, 4, 5) if (n, q) != (4, 5)])
+    def test_maximal_power_and_each_generator_removed(self, n, q):
+        full = maximal_ideal_power(n, q)
+        assert is_power_of_maximal(full) == closure_power_oracle(full) == q
+        orbits = set()  # both sides are symmetric in the variables: one removal per orbit
+        for g in full.gens:
+            rest = [h for h in full.gens if h != g]
+            if rest and tuple(sorted(g)) not in orbits:
+                orbits.add(tuple(sorted(g)))
+                J = MonomialIdeal(n, rest)
+                assert is_power_of_maximal(J) == closure_power_oracle(J), J
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pure_powers_only(self, n):
+        for degs in np.ndindex(*(5,) * n):
+            degs = tuple(d + 1 for d in degs)
+            J = MonomialIdeal(n, [tuple(d if j == i else 0 for j in range(n)) for i, d in enumerate(degs)])
+            expected = degs[0] if len(set(degs)) == 1 else None
+            assert is_power_of_maximal(J) == closure_power_oracle(J) == expected
+
+    def test_random_near_powers(self):
+        rng = random.Random(20261018)
+        powers = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            J = near_power(rng, n, rng.randint(1, 5 if n < 4 else 3))
+            q = closure_power_oracle(J)
+            assert is_power_of_maximal(J) == q, J
+            powers += q is not None
+        assert 30 <= powers <= 270  # both answers are exercised
+
+    @given(st.integers(1, 3).flatmap(lambda n: gen_sets(n, max_exp=5, max_gens=6)))
+    def test_property_matches_closure(self, gens):
+        J = minimalize(gens, len(gens[0]))
+        assert is_power_of_maximal(J) == closure_power_oracle(J)
+
+    @given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**32))
+    def test_property_matches_closure_near_powers(self, n, q, seed):
+        J = near_power(random.Random(seed), n, q)
+        assert is_power_of_maximal(J) == closure_power_oracle(J)
 
 
 class TestContainsPolynomial:
@@ -225,8 +329,6 @@ def test_unit_ideal_degenerate_values():
 
 
 def test_enumeration_budget_guard():
-    from staircase import ResourceError
-
     huge = MonomialIdeal(3, [(10**6, 0, 0), (0, 10**6, 0), (0, 0, 10**6)])
     with pytest.raises(ResourceError):
         colength(huge)
@@ -239,3 +341,52 @@ def test_colength_matches_fraction_free_count():
     J = MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)])
     assert colength(J) == 24
     assert colength_inclusion_exclusion(J) == 24
+
+
+def _forbid(monkeypatch, owner, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(owner, name, forbidden)
+
+
+def test_closure_budget_counts_bytes_before_allocating(monkeypatch):
+    # 10^8 cells pass a cell count of 2*10^8, but the index array alone needs
+    # 1.6 GB; the box must be refused before the facets are enumerated
+    _forbid(monkeypatch, np, "indices")
+    _forbid(monkeypatch, polytope_module, "build_polytope")
+    wide = MonomialIdeal(2, [(9999, 0), (0, 9999)])
+    with pytest.raises(ResourceError) as err:
+        integral_closure(wide)
+    assert "bytes" in str(err.value)
+
+
+def test_closure_budget_charges_python_int_facet_values(monkeypatch):
+    # an exponent of 420000 in three variables overflows int64 facet
+    # arithmetic, so every coordinate and facet value becomes a Python int;
+    # at int64 prices this 1.68M-cell box would fit the budget
+    J = MonomialIdeal(3, [(420000, 0, 0), (0, 1, 0), (0, 0, 1)])
+    P = polytope_module.build_polytope(J)
+    facets = len(P.facets)
+    assert P.batch_bytes_per_point() == 40 * (3 + facets) + facets
+    cells = 420001 * 2 * 2
+    assert cells * (8 * (3 + facets) + facets + 1) <= ideals_module.MAX_SCAN_BYTES
+    _forbid(monkeypatch, np, "indices")
+    with pytest.raises(ResourceError):
+        integral_closure(J)
+
+
+def test_scan_budget_bytes_per_cell(monkeypatch):
+    # colength needs one byte per cell; the closure 8 per coordinate, 9 per facet and 1
+    J = MonomialIdeal(2, [(6, 0), (0, 2)])  # three facets; colength box 12 cells, closure box 21
+    closure_need = 21 * (8 * (2 + 3) + 3 + 1)
+    monkeypatch.setattr(ideals_module, "MAX_SCAN_BYTES", 12)
+    assert colength(J) == 12
+    monkeypatch.setattr(ideals_module, "MAX_SCAN_BYTES", 11)
+    with pytest.raises(ResourceError):
+        colength(J)
+    monkeypatch.setattr(ideals_module, "MAX_SCAN_BYTES", closure_need)
+    assert integral_closure(J).gens == ((0, 2), (3, 1), (6, 0))
+    monkeypatch.setattr(ideals_module, "MAX_SCAN_BYTES", closure_need - 1)
+    with pytest.raises(ResourceError):
+        integral_closure(J)

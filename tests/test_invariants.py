@@ -221,3 +221,30 @@ class TestRandomIdeal:
     def test_distinct_seeds_differ_somewhere(self):
         ideals = {random_ideal(seed=i, n=2, max_exp=10, max_gens=6, force_zero_dim=True) for i in range(50)}
         assert len(ideals) > 30
+
+
+def test_verify_computes_covolume_once_and_never_the_closure(monkeypatch):
+    from staircase import ideals, invariants
+
+    corpus = zero_dim_corpus(seed=31, count=40, dims=(1, 2, 3, 4), max_exp=8, max_gens=6)
+    corpus += [maximal_ideal_power(n, q) for n, q in ((2, 3), (3, 2), (4, 1))]
+    expected = [verify_zero_dim(J) for J in corpus]
+    assert any(r.closure_power_q is not None for r in expected[-3:])
+
+    covolume_calls = []
+    real_covolume = invariants.covolume
+
+    def counted_covolume(J):
+        covolume_calls.append(J)
+        return real_covolume(J)
+
+    def no_closure(J):
+        raise AssertionError("verify_zero_dim computed an integral closure")
+
+    monkeypatch.setattr(invariants, "covolume", counted_covolume)
+    monkeypatch.setattr(invariants, "integral_closure", no_closure)
+    monkeypatch.setattr(ideals, "integral_closure", no_closure)
+    for J, want in zip(corpus, expected):
+        covolume_calls.clear()
+        assert verify_zero_dim(J) == want
+        assert covolume_calls == [J]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -283,3 +284,62 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["command"] == "lct" and doc["reports"][0]["mu"] == "3"
+
+
+class TestCliProcess:
+    """Exit codes of main() for errors outside the library's own error types."""
+
+    @pytest.mark.parametrize(
+        "exc,line",
+        [
+            (MemoryError(), "out of memory"),
+            (RuntimeError("boom\nsecond line"), "unexpected error: RuntimeError('boom\\nsecond line')"),
+        ],
+    )
+    def test_unexpected_errors_exit_3_with_one_line(self, capsys, monkeypatch, exc, line):
+        # exit 1 means a proved inequality failed, so other errors must not use it
+        from staircase import cli
+
+        def failing(args):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", failing)
+        code, out, err = run_cli(capsys, "verify", "--count", "1")
+        assert (code, out, err) == (3, "", f"staircase verify: {line}\n")
+
+    def test_resource_error_exits_2(self, capsys, monkeypatch, tmp_path):
+        from staircase import ideals
+
+        monkeypatch.setattr(ideals, "MAX_SCAN_BYTES", 10)
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"vars": 2, "kind": "monomial", "generators": [[6, 0], [0, 2]]}))
+        code, out, err = run_cli(capsys, "length", "--input", str(path))
+        assert code == 2 and out == "" and "budget" in err
+
+
+# sha256 of the JSON output, recorded before is_power_of_maximal stopped
+# scanning the closure box and verify stopped computing the covolume twice
+PINNED_DIGESTS = {
+    ("verify", "--seed", "0", "--count", "40", "--dim", "2"): "3e4fd8df77da5b065d2ee66ed00eb9996e95285c82b69a22cb240ac5fa6ab7b3",
+    ("verify", "--seed", "0", "--count", "40", "--dim", "3"): "25dc4c0af96d62a26a1839889b4a986311d541fdf4dd442c9482b68352f29f16",
+    ("verify", "--seed", "0", "--count", "40", "--dim", "4"): "a9da633583ea27c206739d0d394107881bfbc1ac58666058af473df26b9f9d1f",
+    ("closure", "--input", "closure.json"): "425c41e10d97632d66f382328a056c7f116c8823f2e8d8ab777def7bd5e926a3",
+}
+CLOSURE_CORPUS = {
+    "kind": "corpus",
+    "items": [
+        {"vars": 2, "kind": "monomial", "generators": [[4, 0], [0, 4]]},
+        {"vars": 2, "kind": "monomial", "generators": [[6, 0], [0, 2]]},
+        {"vars": 3, "kind": "monomial", "generators": [[2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 1]]},
+        {"vars": 3, "kind": "monomial", "generators": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 0]]},
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_DIGESTS), ids=" ".join)
+def test_output_bytes_pinned(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # the closure report echoes its relative input path
+    (tmp_path / "closure.json").write_text(json.dumps(CLOSURE_CORPUS))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
