@@ -8,17 +8,16 @@ are Python ints, rational values are ``fractions.Fraction``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product as iproduct
-
-import numpy as np
 
 from .errors import DimensionError, FormatError, ResourceError
 
 Exponent = tuple[int, ...]
 
-# The box scans refuse, before allocating, any scan whose arrays would take
-# more bytes than this.
+# The closure scan refuses, before enumerating facets, any box whose columns
+# would take more bytes than this.
 MAX_SCAN_BYTES = 200_000_000
 
 
@@ -51,12 +50,18 @@ def _validate_exponent(e, n: int) -> Exponent:
     t = tuple(e)
     if len(t) != n:
         raise FormatError(f"exponent {t} has length {len(t)}, expected {n}")
+    out = []
     for c in t:
-        if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
+        try:
+            v = operator.index(c)
+        except TypeError:
+            v = None
+        if v is None or isinstance(c, bool):
             raise FormatError(f"exponent {t} has a non-integer entry {c!r}")
-        if c < 0:
+        if v < 0:
             raise FormatError(f"exponent {t} has a negative entry")
-    return tuple(int(c) for c in t)
+        out.append(v)
+    return tuple(out)
 
 
 def _antichain(gens: list[Exponent]) -> tuple[Exponent, ...]:
@@ -90,6 +95,14 @@ class MonomialIdeal:
 
     def __repr__(self):
         return f"MonomialIdeal({self.n}, {list(self.gens)})"
+
+    @classmethod
+    def _from_antichain(cls, n: int, gens: tuple[Exponent, ...]) -> MonomialIdeal:
+        """An ideal from generators known to be a sorted antichain, skipping the O(m^2) minimalization."""
+        J = object.__new__(cls)
+        object.__setattr__(J, "n", n)
+        object.__setattr__(J, "gens", gens)
+        return J
 
     @property
     def is_unit(self) -> bool:
@@ -141,34 +154,32 @@ def pure_power_degrees(J: MonomialIdeal) -> tuple[int, ...]:
     return tuple(degs)
 
 
-def _check_scan_budget(what: str, cells: int, bytes_per_cell: int) -> None:
-    need = cells * bytes_per_cell
-    if need > MAX_SCAN_BYTES:
-        raise ResourceError(
-            f"{what} with {cells} cells needs about {need} bytes, over the {MAX_SCAN_BYTES}-byte scan budget"
-        )
-
-
-def _standard_monomial_mask(J: MonomialIdeal, box: tuple[int, ...]) -> np.ndarray:
-    """Boolean array over prod(range(b) for b in box), True on monomials outside J."""
-    _check_scan_budget("staircase box", math.prod(box), 1)
-    arr = np.ones(box, dtype=bool)
-    for g in J.gens:
-        if all(gi < bi for gi, bi in zip(g, box)):
-            arr[tuple(slice(gi, None) for gi in g)] = False
-    return arr
+def _colength(gens: list[Exponent]) -> int:
+    if len(gens[0]) == 1:
+        return min(g[0] for g in gens)
+    gens = sorted(gens, key=lambda g: g[-1])
+    total = 0
+    slice_gens = []
+    for g, above in zip(gens, gens[1:]):
+        slice_gens.append(g[:-1])
+        if above[-1] > g[-1]:
+            total += (above[-1] - g[-1]) * _colength(slice_gens)
+    return total
 
 
 def colength(J: MonomialIdeal) -> int:
     """Number of standard monomials, i.e. dim_K of the quotient ring.
 
-    Enumerates the box bounded by the pure-power degrees; monomials outside
-    that box always lie in the ideal.
+    Sums over slices in the last variable (Bayer-Stillman, JSC 1992): with
+    h_1 < ... < h_k the distinct last coordinates of the generators, the
+    monomials x' x_n^h with h_i <= h < h_{i+1} lie outside J exactly when x'
+    lies outside the slice ideal generated by {g' : g_n <= h_i}, so the
+    colength is the sum of (h_{i+1} - h_i) * colength(slice_i); beyond h_k,
+    the pure-power degree of x_n, every monomial is in J.  In one variable
+    the colength is the least exponent.  Exact for any exponent size.
     """
-    box = pure_power_degrees(J)
-    if any(b == 0 for b in box):
-        return 0
-    return int(_standard_monomial_mask(J, box).sum())
+    pure_power_degrees(J)  # DimensionError off zero-dimensional ideals
+    return _colength(list(J.gens))
 
 
 def colength_inclusion_exclusion(J: MonomialIdeal) -> int:
@@ -237,36 +248,44 @@ def shift_ideal(J: MonomialIdeal, b: Exponent) -> MonomialIdeal:
 def integral_closure(J: MonomialIdeal) -> MonomialIdeal:
     """Integral closure: the monomial ideal of all lattice points of the Newton polytope.
 
-    Scans the box bounded by the componentwise maximum of the generators;
-    any minimal generator of the closure is dominated by that bound, and
-    points outside it are divisible by a point inside.  Each cell costs 8
-    bytes per coordinate (the index array), 1 for the membership mask and
-    what the facet test allocates per point; the first two are checked before
-    the facets are enumerated, all three before the scan.
+    Every minimal generator lies in the box bounded by the componentwise
+    maximum B of the generators: with u in the polytope, so is min(u, B).
+    The box is scanned by columns over the first n - 1 coordinates.  In
+    column x' the lattice points of the polytope are (x', h) for h >= h(x'),
+    the least h that the facets with c_n > 0 allow; a facet with c_n = 0
+    that fails at x' empties the column.  (x', h(x')) is a minimal generator
+    exactly when every nonempty column x' - e_i has a larger h.  Before any
+    facet is enumerated, each column is charged 8 * n + 160 bytes against
+    MAX_SCAN_BYTES: the scan keeps one height per column and at most one
+    generator tuple, each with its list slot and int objects.
     """
     from .polytope import build_polytope
 
     box = J.gens[0]
     for g in J.gens[1:]:
         box = exp_max(box, g)
-    shape = tuple(b + 1 for b in box)
-    cells = math.prod(shape)
-    _check_scan_budget("closure box", cells, 8 * J.n + 1)
-    P = build_polytope(J)
-    _check_scan_budget("closure box", cells, 8 * J.n + 1 + P.batch_bytes_per_point())
-    pts = np.indices(shape).reshape(J.n, -1).T
-    mask = P.contains_lattice_batch(pts).reshape(shape)
-    # Minimal elements of an upward-closed set: no immediate predecessor inside.
-    pred = np.zeros(shape, dtype=bool)
-    for axis in range(J.n):
-        hi = [slice(None)] * J.n
-        lo = [slice(None)] * J.n
-        hi[axis] = slice(1, None)
-        lo[axis] = slice(None, -1)
-        pred[tuple(hi)] |= mask[tuple(lo)]
-    minimal = mask & ~pred
-    gens = [tuple(int(c) for c in e) for e in np.argwhere(minimal)]
-    return MonomialIdeal(J.n, tuple(gens))
+    sides = [b + 1 for b in box[:-1]]
+    columns = math.prod(sides)
+    need = columns * (8 * J.n + 160)
+    if need > MAX_SCAN_BYTES:
+        raise ResourceError(
+            f"closure box with {columns} columns needs about {need} bytes, over the {MAX_SCAN_BYTES}-byte scan budget"
+        )
+    walls, floors = [], []
+    for f in build_polytope(J).facets:
+        *c, cn = f.coefficients
+        (floors if cn else walls).append((c, f.rhs, cn))
+    strides = [math.prod(sides[i + 1 :]) for i in range(len(sides))]
+    heights: list[int | None] = []  # per column in lexicographic order; None when empty
+    gens = []
+    for x in iproduct(*map(range, sides)):
+        h = None
+        if all(sum(a * b for a, b in zip(c, x)) >= r for c, r, _ in walls):
+            h = max([0] + [(r - sum(a * b for a, b in zip(c, x)) + cn - 1) // cn for c, r, cn in floors])
+            if all(not x[i] or (p := heights[-strides[i]]) is None or p > h for i in range(len(x))):
+                gens.append(x + (h,))
+        heights.append(h)
+    return MonomialIdeal._from_antichain(J.n, tuple(gens))  # lexicographic, and minimal by construction
 
 
 def is_power_of_maximal(J: MonomialIdeal) -> int | None:

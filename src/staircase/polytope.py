@@ -2,11 +2,11 @@
 
 The polytope of an ideal is conv(generator points) + R_+^n.  Every facet
 inequality has a nonnegative normal, so the exact H-description consists of
-integer inequalities c . u >= rhs.  Facets are enumerated by the dual
-candidate scheme: normals orthogonal to k generator differences and n - k
-coordinate directions, validated against all generator points.  This stays
-exact and is comfortably fast for the ambient dimensions this package
-targets (n up to about 6, a few dozen generators).
+primitive integer inequalities c . u >= rhs.  Facets come from double
+description over the integers, which also records the points on each facet;
+the covolume sums integer determinants over a triangulation of the facets
+that face the origin.  Everything is pure Python on exact integers, for any
+exponent size.
 """
 
 from __future__ import annotations
@@ -15,14 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-
-import numpy as np
 
 from .errors import DomainError
 from .ideals import MonomialIdeal, pure_power_degrees
 from .lp import lp_feasible
-from .volume import polytope_volume
 
 
 @dataclass(frozen=True)
@@ -32,8 +28,9 @@ class FacetInequality:
     coefficients: tuple[int, ...]
     rhs: int
 
-    def evaluate(self, u) -> Fraction:
-        return sum((Fraction(c) * x for c, x in zip(self.coefficients, u)), Fraction(0))
+    def evaluate(self, u) -> Fraction | int:
+        """c . u, exact for integer and Fraction coordinates."""
+        return sum(c * x for c, x in zip(self.coefficients, u))
 
     def satisfied(self, u) -> bool:
         return self.evaluate(u) >= self.rhs
@@ -62,95 +59,67 @@ class MuValue:
     witness_facet: FacetInequality | None
 
 
-def _det_batch(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of stacked square integer matrices, size up to 3 vectorized."""
-    s = mats.shape[-1]
-    if s == 0:
-        return np.ones(mats.shape[0], dtype=mats.dtype)
-    if s == 1:
-        return mats[:, 0, 0]
-    if s == 2:
-        return mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    if s == 3:
-        return (
-            mats[:, 0, 0] * (mats[:, 1, 1] * mats[:, 2, 2] - mats[:, 1, 2] * mats[:, 2, 1])
-            - mats[:, 0, 1] * (mats[:, 1, 0] * mats[:, 2, 2] - mats[:, 1, 2] * mats[:, 2, 0])
-            + mats[:, 0, 2] * (mats[:, 1, 0] * mats[:, 2, 1] - mats[:, 1, 1] * mats[:, 2, 0])
-        )
-    return np.array([_det_laplace(m) for m in mats], dtype=mats.dtype)
+def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
+    g = 0
+    for x in v:
+        g = math.gcd(g, x)
+    return tuple(x // g for x in v)
 
 
-def _det_laplace(m) -> int:
-    rows = [list(map(int, r)) for r in m]
-    size = len(rows)
-    if size == 0:
-        return 1
-    if size == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(size):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det_laplace(minor)
-    return total
+def _double_description(points: tuple[tuple[int, ...], ...], n: int):
+    """Facets of conv(points) + R_+^n, sorted, and per facet the bitmask of the points on it.
+
+    The valid inequalities c . u >= r form the cone {(c, r) : c >= 0,
+    c . g - r >= 0 for every point g}; its extreme rays other than (0, -1)
+    are the facets.  Double description (Motzkin; Fukuda-Prodon 1996) starts
+    from the simplicial cone of c >= 0 and the first point, whose rays are
+    (e_j, g_0[j]) and (0, -1), and cuts it with one point at a time.  A ray's
+    zero set is a bitmask: bit j for c_j = 0, bit n + i when point i is
+    tight.  Rays on opposite sides of a cut are adjacent when no third ray's
+    zero set contains the intersection of theirs, and each adjacent pair
+    gives one new primitive ray on the cut.
+    """
+    g0 = points[0]
+    coords = (1 << n) - 1
+    rays = [(tuple(int(i == j) for i in range(n)) + (g0[j],), (coords & ~(1 << j)) | 1 << n) for j in range(n)]
+    rays.append(((0,) * n + (-1,), coords))
+    for i in range(1, len(points)):
+        g, bit = points[i], 1 << (n + i)
+        signed = [(ray, z, sum(c * x for c, x in zip(ray, g)) - ray[n]) for ray, z in rays]
+        neg = [t for t in signed if t[2] < 0]
+        kept = [(ray, z | bit if s == 0 else z) for ray, z, s in signed if s >= 0]
+        zero_sets = [z for _, z in rays]
+        for p, zp, sp in signed:
+            if sp <= 0:
+                continue
+            for q, zq, sq in neg:
+                z = zp & zq
+                if z.bit_count() >= n - 1 and sum(1 for zr in zero_sets if zr & z == z) == 2:
+                    kept.append((_primitive(tuple(sp * b - sq * a for a, b in zip(p, q))), z | bit))
+        rays = kept
+    facets = sorted((ray, z >> n) for ray, z in rays if any(ray[:n]))
+    return (
+        tuple(FacetInequality(ray[:n], ray[n]) for ray, _ in facets),
+        tuple(tight for _, tight in facets),
+    )
 
 
-def _facet_dtype(points, n: int):
-    """int64 when all intermediate minors and dot products provably fit, else object."""
-    mx = max((max(p) for p in points), default=0)
-    bound = math.factorial(max(n - 1, 1)) * (2 * mx + 1) ** max(n - 1, 1)
-    if bound * (2 * mx + 1) * (n + 1) < 2**62:
-        return np.int64
-    return object
-
-
-def _enumerate_facets(points: tuple[tuple[int, ...], ...], n: int) -> tuple[FacetInequality, ...]:
-    dtype = _facet_dtype(points, n)
-    pts = np.array(points, dtype=dtype).reshape(len(points), n)
-    axes = np.eye(n, dtype=dtype) if dtype is np.int64 else np.array([[int(i == j) for j in range(n)] for i in range(n)], dtype=object)
-
-    blocks = []
-    for k in range(1, n + 1):
-        point_combos = list(combinations(range(len(points)), k))
-        axis_combos = list(combinations(range(n), n - k))
-        if not point_combos or not axis_combos:
-            continue
-        pc = np.array(point_combos, dtype=np.intp)
-        base = pts[pc[:, 0]]
-        diffs = pts[pc[:, 1:]] - base[:, None, :] if k > 1 else np.zeros((len(pc), 0, n), dtype=dtype)
-        for ac in axis_combos:
-            rows_ax = axes[list(ac)] if ac else np.zeros((0, n), dtype=dtype)
-            mats = np.concatenate(
-                [diffs, np.broadcast_to(rows_ax, (len(pc), len(ac), n))], axis=1
-            )
-            blocks.append((mats, base))
-
-    found: set[tuple[tuple[int, ...], int]] = set()
-    for mats, base in blocks:
-        ncand = mats.shape[0]
-        normals = np.empty((ncand, n), dtype=dtype)
-        cols = np.arange(n)
-        for j in range(n):
-            sub = mats[:, :, cols != j]
-            normals[:, j] = (-1) ** j * _det_batch(sub)
-        nonzero = (normals != 0).any(axis=1)
-        nonneg = (normals >= 0).all(axis=1)
-        nonpos = (normals <= 0).all(axis=1)
-        keep = nonzero & (nonneg | nonpos)
-        if not keep.any():
-            continue
-        normals = np.where(nonpos[:, None], -normals, normals)[keep]
-        rhs = (normals * base[keep]).sum(axis=1)
-        valid = (pts @ normals.T >= rhs[None, :]).all(axis=0)
-        for c, r in zip(normals[valid], rhs[valid]):
-            coeffs = tuple(int(x) for x in c)
-            g = 0
-            for x in coeffs:
-                g = math.gcd(g, x)
-            found.add((tuple(x // g for x in coeffs), int(r) // g))
-
-    return tuple(FacetInequality(c, r) for c, r in sorted(found))
+def _det(rows: list[tuple[int, ...]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    m = [list(r) for r in rows]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 class NewtonPolytope:
@@ -163,6 +132,7 @@ class NewtonPolytope:
         self.n = n
         self.points = tuple(sorted(points))
         self._facets: tuple[FacetInequality, ...] | None = None
+        self._zero_sets: tuple[int, ...] = ()
 
     def __repr__(self):
         return f"NewtonPolytope(n={self.n}, points={list(self.points)})"
@@ -170,8 +140,14 @@ class NewtonPolytope:
     @property
     def facets(self) -> tuple[FacetInequality, ...]:
         if self._facets is None:
-            self._facets = _enumerate_facets(self.points, self.n)
+            self._facets, self._zero_sets = _double_description(self.points, self.n)
         return self._facets
+
+    @property
+    def zero_sets(self) -> tuple[int, ...]:
+        """Per facet, the bitmask over self.points of the points lying on it."""
+        self.facets  # enumerates on first use
+        return self._zero_sets
 
     @property
     def bounded_facets(self) -> tuple[FacetInequality, ...]:
@@ -206,26 +182,6 @@ class NewtonPolytope:
         b.append(Fraction(1))
         return lp_feasible(A, b)
 
-    def batch_bytes_per_point(self) -> int:
-        """Upper bound on the bytes contains_lattice_batch allocates per int64 query point.
-
-        With int64 arithmetic: 8 per facet value and 1 per comparison.  When
-        the values may overflow int64 they are Python ints, about 40 bytes
-        each with their pointer, and so are the converted coordinates.
-        """
-        facets = len(self.facets)
-        if _facet_dtype(self.points, self.n) is object:
-            return 40 * (self.n + facets) + facets
-        return 8 * facets + facets
-
-    def contains_lattice_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized membership for integer points (rows of pts)."""
-        facets = self.facets
-        C = np.array([f.coefficients for f in facets], dtype=object if _facet_dtype(self.points, self.n) is object else np.int64)
-        r = np.array([f.rhs for f in facets], dtype=C.dtype)
-        vals = pts.astype(C.dtype, copy=False) @ C.T
-        return (vals >= r[None, :]).all(axis=1)
-
 
 @lru_cache(maxsize=8192)
 def build_polytope(J: MonomialIdeal) -> NewtonPolytope:
@@ -256,19 +212,33 @@ def compute_mu(J: MonomialIdeal) -> MuValue:
 def covolume(J: MonomialIdeal) -> Fraction:
     """n! times the volume of the bounded staircase region R_+^n minus the polytope.
 
-    Computed as n! * (vol of the box [0, M]^n minus vol of polytope-in-box),
-    where M is the largest minimal pure-power degree; the complement lies
-    inside that box.  Requires a zero-dimensional ideal.
+    Requires a zero-dimensional ideal.  The region is the union of the
+    pyramids conv(0, F) over the facets F with rhs > 0, whose normals are
+    all positive, so F is the convex hull of the generators on it.  Each F
+    gets a pulling triangulation: pull its lexicographically least point v
+    (a vertex) and recurse into the facets of F that miss v.  The facets of
+    a face K are the maximal proper intersections of K's points with the
+    zero sets of the polytope's facets, so no rank is computed.  A simplex
+    (v_1, ..., v_n) of F adds |det(v_1, ..., v_n)| = n! vol(conv(0, v_1, ..., v_n)).
     """
-    degs = pure_power_degrees(J)
-    M = max(degs)
-    if M == 0:
-        return Fraction(0)
-    n = J.n
+    pure_power_degrees(J)  # DimensionError off zero-dimensional ideals
     P = build_polytope(J)
-    ineqs = [(f.coefficients, f.rhs) for f in P.facets]
-    for i in range(n):
-        upper = tuple(-1 if j == i else 0 for j in range(n))
-        ineqs.append((upper, -M))
-    inside = polytope_volume(ineqs, n)
-    return math.factorial(n) * (Fraction(M) ** n - inside)
+    zero_sets = P.zero_sets
+    simplices: dict[int, list[list[int]]] = {}
+
+    def pull(face: int) -> list[list[int]]:
+        v = face & -face
+        if face == v:
+            return [[v]]
+        if face not in simplices:
+            subfaces = {face & z for z in zero_sets} - {face, 0}
+            maximal = [k for k in subfaces if not any(k != o and k & o == k for o in subfaces)]
+            simplices[face] = [[v] + s for k in maximal if not k & v for s in pull(k)]
+        return simplices[face]
+
+    total = 0
+    for f, face in zip(P.facets, zero_sets):
+        if f.rhs > 0:
+            for s in pull(face):
+                total += abs(_det([P.points[b.bit_length() - 1] for b in s]))
+    return Fraction(total)

@@ -286,6 +286,23 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         assert doc["command"] == "lct" and doc["reports"][0]["mu"] == "3"
 
 
+def test_cli_never_imports_numpy(tmp_path):
+    # the package is pure Python; -X importtime lists every module a process imports
+    path = tmp_path / "closure.json"
+    path.write_text(json.dumps(CLOSURE_CORPUS))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["verify", "--count", "3"], ["closure", "--input", str(path)]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "staircase", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert "staircase.polytope" in imported
+        assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+
 class TestCliProcess:
     """Exit codes of main() for errors outside the library's own error types."""
 
@@ -313,7 +330,7 @@ class TestCliProcess:
         monkeypatch.setattr(ideals, "MAX_SCAN_BYTES", 10)
         path = tmp_path / "ideal.json"
         path.write_text(json.dumps({"vars": 2, "kind": "monomial", "generators": [[6, 0], [0, 2]]}))
-        code, out, err = run_cli(capsys, "length", "--input", str(path))
+        code, out, err = run_cli(capsys, "closure", "--input", str(path))
         assert code == 2 and out == "" and "budget" in err
 
 

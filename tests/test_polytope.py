@@ -157,10 +157,10 @@ class TestMu:
 
 
 class TestVolumeEngine:
-    """Direct checks of the H-representation volume recursion."""
+    """Direct checks of the H-representation volume recursion behind the covolume oracle."""
 
     def _vol(self, ineqs, d):
-        from staircase.volume import polytope_volume
+        from oracles import polytope_volume
 
         return polytope_volume(ineqs, d)
 
@@ -316,8 +316,8 @@ class TestCovolume:
         # scaling every generator by c scales the covolume by c^n, and the
         # unit-cube counts around the scaled staircase squeeze it within
         # n! * (boundary layer) / c; an independent quantitative check on the
-        # volume recursion in three and four variables
-        import numpy as np
+        # triangulation in three and four variables
+        from itertools import product as iproduct
 
         from staircase.ideals import pure_power_degrees
 
@@ -326,11 +326,13 @@ class TestCovolume:
             scaled = MonomialIdeal(n, tuple(tuple(c * x for x in g) for g in J.gens))
             P = build_polytope(scaled)
             box = pure_power_degrees(scaled)
-            grid = np.indices(box).reshape(n, -1).T
-            bottom_out = ~P.contains_lattice_batch(grid)
-            top_out = ~P.contains_lattice_batch(grid + 1)
-            lower = F(int(top_out.sum()), c**n)
-            upper = F(int(bottom_out.sum()), c**n)
+            bottom_out = top_out = 0
+            for u in iproduct(*map(range, box)):
+                if not P.contains_point(u):
+                    bottom_out += 1
+                    top_out += not P.contains_point(tuple(x + 1 for x in u))
+            lower = F(top_out, c**n)
+            upper = F(bottom_out, c**n)
             cov = covolume(J)
             assert math.factorial(n) * lower <= cov <= math.factorial(n) * upper
             assert covolume(scaled) == c**n * cov
@@ -338,7 +340,7 @@ class TestCovolume:
     def test_lattice_sandwich(self):
         # the complement region is squeezed between two exact lattice counts:
         # cubes fully inside it and cubes covering it (both via polytope
-        # membership of lattice points, independent of the volume recursion)
+        # membership of lattice points, independent of the triangulation)
         from itertools import product as iproduct
 
         for i in range(25):
@@ -360,8 +362,8 @@ class TestCovolume:
 
 class TestScaleLimits:
     def test_huge_exponents_use_exact_big_integers(self):
-        # beyond the int64 safety bound the facet kernel must switch to
-        # arbitrary precision and stay exact
+        # exponents whose products overflow 64 bits stay exact: the facet
+        # kernel works on Python integers throughout
         a = 10**7
         J = MonomialIdeal(3, [(a, 0, 0), (0, a, 0), (0, 0, a), (1, 1, 1)])
         mv = compute_mu(J)
@@ -381,7 +383,7 @@ class TestScaleLimits:
 
 def test_membership_box_scan_matches_colength():
     # points of the polytope inside the pure-power box complement the standard monomials
-    import numpy as np
+    from itertools import product as iproduct
 
     for i in range(20):
         n = 2 + i % 2
@@ -390,6 +392,5 @@ def test_membership_box_scan_matches_colength():
         from staircase.ideals import pure_power_degrees
 
         box = pure_power_degrees(J)
-        pts = np.indices(box).reshape(n, -1).T
-        inside_ideal = sum(1 for p in pts if J.contains_exponent(tuple(int(c) for c in p)))
+        inside_ideal = sum(1 for p in iproduct(*map(range, box)) if J.contains_exponent(p))
         assert math.prod(box) - inside_ideal == colength(J)
