@@ -20,8 +20,6 @@ from .groebner import initial_ideal
 from .ideal_io import corpus_to_document, format_rational, ideal_to_document, parse_ideal_file
 from .ideals import MonomialIdeal, colength, integral_closure, is_power_of_maximal
 from .invariants import (
-    Codim2Report,
-    ZeroDimReport,
     _mix,
     codim2_corpus,
     multiplicity,
@@ -42,66 +40,70 @@ from .reports import (
     zero_dim_report_dict,
 )
 
-COMMANDS = ("lct", "length", "mult", "polytope", "closure", "verify", "codim2", "degenerate", "mu-bound", "gen-corpus")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="staircase", description="Exact invariants of monomial ideals.")
     parser.add_argument("--version", action="version", version=f"staircase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, seeded=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="path to an ideal or corpus document")
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        if seeded:
-            p.add_argument("--count", type=int, default=100)
-            p.add_argument("--dim", type=int, default=2)
-            p.add_argument("--max-exp", type=int, default=10)
-            p.add_argument("--max-gens", type=int, default=8)
+    # shared flags: file commands, then seeded commands, then corpus commands
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--input", help="path to an ideal or corpus document")
+    io.add_argument("--format", choices=("json", "tsv"), default="json")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[io])
+    seeded.add_argument("--seed", type=int, default=0)
+    corpus = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    corpus.add_argument("--count", type=int, default=100)
+    corpus.add_argument("--dim", type=int, default=2)
+    corpus.add_argument("--max-exp", type=int, default=10)
+    corpus.add_argument("--max-gens", type=int, default=8)
+
+    def add(name, help_text, run, parent=io):
+        p = sub.add_parser(name, help=help_text, parents=[parent])
+        p.set_defaults(run=run)
         return p
 
-    add("lct", "diagonal entry value mu and log canonical threshold")
-    p = add("mult", "Samuel multiplicity (covolume)")
+    add("lct", "diagonal entry value mu and log canonical threshold", _cmd_lct)
+    p = add("mult", "Samuel multiplicity (covolume)", _cmd_mult)
     p.add_argument("--t-max", type=int, default=0, help="also report n! colength(J^t)/t^n for t = 1..t_max")
-    add("length", "colength (number of standard monomials)")
-    add("polytope", "facet description of the Newton polytope")
-    add("closure", "integral closure and maximal-power detection")
-    add("verify", "zero-dimensional invariant suite over a file or seeded corpus", seeded=True)
-    add("codim2", "two-variable factor bounds over a file or seeded corpus", seeded=True)
-    p = add("degenerate", "initial ideal and tangent-cone degeneration of a polynomial ideal")
+    add("length", "colength (number of standard monomials)", _cmd_length)
+    add("polytope", "facet description of the Newton polytope", _cmd_polytope)
+    add("closure", "integral closure and maximal-power detection", _cmd_closure)
+    add("verify", "zero-dimensional invariant suite over a file or seeded corpus", _cmd_verify, corpus)
+    add("codim2", "two-variable factor bounds over a file or seeded corpus", _cmd_codim2, corpus)
+    p = add("degenerate", "initial ideal and tangent-cone degeneration of a polynomial ideal", _cmd_degenerate)
     p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
     p.add_argument("--budget", type=int, default=24)
-    p = add("mu-bound", "certified upper bound for mu via monomial degenerations")
+    p = add("mu-bound", "certified upper bound for mu via monomial degenerations", _cmd_mu_bound, seeded)
     p.add_argument("--budget", type=int, default=24)
     p.add_argument("--trials", type=int, default=8)
-    p = add("gen-corpus", "emit a reproducible corpus document", seeded=True)
+    p = add("gen-corpus", "emit a reproducible corpus document", _cmd_gen_corpus, corpus)
     p.add_argument("--mixed", action="store_true", help="do not force zero-dimensionality")
     return parser
 
 
+def _load(args) -> list:
+    if not args.input:
+        raise StaircaseError(f"{args.command} needs --input")
+    return parse_ideal_file(args.input)
+
+
 def _load_monomials(args) -> list[MonomialIdeal]:
-    ideals = parse_ideal_file(args.input)
+    ideals = _load(args)
     for J in ideals:
         if not isinstance(J, MonomialIdeal):
             raise StaircaseError(f"{args.command} needs monomial ideals, got a polynomial ideal")
-    return ideals  # type: ignore[return-value]
+    return ideals
 
 
 def _load_poly(args) -> PolyIdeal:
-    ideals = parse_ideal_file(args.input)
+    ideals = _load(args)
     if len(ideals) != 1:
         raise StaircaseError(f"{args.command} needs a single ideal, got a corpus of {len(ideals)}")
     obj = ideals[0]
     if isinstance(obj, MonomialIdeal):
         return PolyIdeal.from_monomial(obj)
     return obj
-
-
-def _require_input(args):
-    if not args.input:
-        raise StaircaseError(f"{args.command} needs --input")
 
 
 def _facet_dict(f) -> dict:
@@ -115,7 +117,6 @@ def _facet_dict(f) -> dict:
 
 
 def _cmd_lct(args):
-    _require_input(args)
     reports = []
     for J in _load_monomials(args):
         mv = compute_mu(J)
@@ -133,12 +134,10 @@ def _cmd_lct(args):
 
 
 def _cmd_length(args):
-    _require_input(args)
     return 0, [{"ideal": _gens_compact(J), "length": colength(J)} for J in _load_monomials(args)], None
 
 
 def _cmd_mult(args):
-    _require_input(args)
     reports = []
     for J in _load_monomials(args):
         rep = {"ideal": _gens_compact(J), "multiplicity": format_rational(multiplicity(J))}
@@ -149,7 +148,6 @@ def _cmd_mult(args):
 
 
 def _cmd_polytope(args):
-    _require_input(args)
     reports = []
     for J in _load_monomials(args):
         P = build_polytope(J)
@@ -159,7 +157,6 @@ def _cmd_polytope(args):
 
 
 def _cmd_closure(args):
-    _require_input(args)
     reports = []
     for J in _load_monomials(args):
         cl = integral_closure(J)
@@ -183,32 +180,32 @@ def _corpus_echo(args) -> dict:
     }
 
 
-def _cmd_verify(args):
+def _run_suite(args, corpus, check, to_dict):
+    """One suite over --input or, without it, over corpus(); exit 1 if any report has violations."""
     if args.input:
-        ideals = _load_monomials(args)
-        echo = {"path": args.input}
+        ideals, echo = _load_monomials(args), {"path": args.input}
     else:
-        ideals = zero_dim_corpus(args.seed, args.count, dims=(args.dim,), max_exp=args.max_exp, max_gens=args.max_gens)
-        echo = _corpus_echo(args)
-    reports = [zero_dim_report_dict(verify_zero_dim(J, fatal=False)) for J in ideals]
+        ideals, echo = corpus(), _corpus_echo(args)
+    reports = [to_dict(check(J, fatal=False)) for J in ideals]
     failed = sum(1 for r in reports if r["violations"])
     return (1 if failed else 0), reports, {"input_echo": echo, "failed": failed}
+
+
+def _cmd_verify(args):
+    def corpus():
+        return zero_dim_corpus(args.seed, args.count, dims=(args.dim,), max_exp=args.max_exp, max_gens=args.max_gens)
+
+    return _run_suite(args, corpus, verify_zero_dim, zero_dim_report_dict)
 
 
 def _cmd_codim2(args):
-    if args.input:
-        ideals = _load_monomials(args)
-        echo = {"path": args.input}
-    else:
-        ideals = codim2_corpus(args.seed, args.count, max_exp=args.max_exp, max_gens=args.max_gens)
-        echo = _corpus_echo(args)
-    reports = [codim2_report_dict(verify_codim2(J, fatal=False)) for J in ideals]
-    failed = sum(1 for r in reports if r["violations"])
-    return (1 if failed else 0), reports, {"input_echo": echo, "failed": failed}
+    def corpus():
+        return codim2_corpus(args.seed, args.count, max_exp=args.max_exp, max_gens=args.max_gens)
+
+    return _run_suite(args, corpus, verify_codim2, codim2_report_dict)
 
 
 def _cmd_degenerate(args):
-    _require_input(args)
     I = _load_poly(args)
     order = default_order(args.order, I.n)
     init = initial_ideal(I, order)
@@ -228,7 +225,6 @@ def _cmd_degenerate(args):
 
 
 def _cmd_mu_bound(args):
-    _require_input(args)
     I = _load_poly(args)
     details = mu_upper_bound_details(I, trials=args.trials, seed=args.seed, budget=args.budget)
     values = [mu for _, mu in details if mu is not None]
@@ -254,30 +250,6 @@ def _cmd_gen_corpus(args):
     return 0, None, doc
 
 
-_HANDLERS = {
-    "lct": _cmd_lct,
-    "length": _cmd_length,
-    "mult": _cmd_mult,
-    "polytope": _cmd_polytope,
-    "closure": _cmd_closure,
-    "verify": _cmd_verify,
-    "codim2": _cmd_codim2,
-    "degenerate": _cmd_degenerate,
-    "mu-bound": _cmd_mu_bound,
-    "gen-corpus": _cmd_gen_corpus,
-}
-
-
-def _report_payload(report) -> dict | None:
-    if isinstance(report, ZeroDimReport):
-        return zero_dim_report_dict(report)
-    if isinstance(report, Codim2Report):
-        return codim2_report_dict(report)
-    if dataclasses.is_dataclass(report):
-        return dataclasses.asdict(report)
-    return None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -285,14 +257,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, reports, extra = _HANDLERS[args.command](args)
-        if reports is None and extra is not None:
+        code, reports, extra = args.run(args)
+        if reports is None:
             doc = extra  # gen-corpus emits its own document shape
         else:
-            echo = (extra or {}).pop("input_echo", None) if extra else None
-            if echo is None:
-                echo = {"path": args.input} if args.input else {"seed": args.seed}
-            doc = make_document(args.command, echo, reports or [], __version__, extra)
+            echo = extra.pop("input_echo") if extra else {"path": args.input}
+            doc = make_document(args.command, echo, reports, __version__, extra)
         out = render_tsv(doc) if args.format == "tsv" else render_json(doc)
         sys.stdout.write(out)
         return code
@@ -301,7 +271,7 @@ def main(argv=None) -> int:
             "tool": "staircase",
             "version": __version__,
             "error": str(exc),
-            "counterexample": _report_payload(exc.report),
+            "counterexample": dataclasses.asdict(exc.report) if exc.report is not None else None,
         }
         sys.stdout.write(render_json(dump))
         return 1

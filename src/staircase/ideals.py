@@ -235,14 +235,15 @@ def factor_out_gcd(I: MonomialIdeal) -> GcdFactorization:
     b = I.gens[0]
     for g in I.gens[1:]:
         b = exp_min(b, g)
-    prim = MonomialIdeal(I.n, tuple(exp_sub(g, b) for g in I.gens))
+    # translation keeps the generators a lexicographically sorted antichain
+    prim = MonomialIdeal._from_antichain(I.n, tuple(exp_sub(g, b) for g in I.gens))
     return GcdFactorization(b=b, primitive=prim)
 
 
 def shift_ideal(J: MonomialIdeal, b: Exponent) -> MonomialIdeal:
     """Multiply by the monomial x^b (translate all generators by b)."""
     b = _validate_exponent(b, J.n)
-    return MonomialIdeal(J.n, tuple(exp_add(g, b) for g in J.gens))
+    return MonomialIdeal._from_antichain(J.n, tuple(exp_add(g, b) for g in J.gens))
 
 
 def integral_closure(J: MonomialIdeal) -> MonomialIdeal:

@@ -393,3 +393,16 @@ def test_scan_budget_bytes_per_column(monkeypatch):
     monkeypatch.setattr(ideals_module, "MAX_SCAN_BYTES", closure_need - 1)
     with pytest.raises(ResourceError):
         integral_closure(J)
+
+
+def test_translation_skips_minimalization(monkeypatch):
+    # shifting or factoring out x^b keeps a sorted antichain sorted and
+    # minimal, so neither may pay the quadratic _antichain
+    C = integral_closure(MonomialIdeal(2, [(3000, 0), (0, 3000)]))
+    assert C.gens == tuple((i, 3000 - i) for i in range(3001))
+    shifted_gens = tuple((i + 2, 3005 - i) for i in range(3001))
+    _forbid(monkeypatch, ideals_module, "_antichain")
+    shifted = shift_ideal(C, (2, 5))
+    assert shifted.gens == shifted_gens
+    assert factor_out_gcd(shifted) == GcdFactorization(b=(2, 5), primitive=C)
+    assert factor_out_gcd(C) == GcdFactorization(b=(0, 0), primitive=C)

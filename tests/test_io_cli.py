@@ -222,6 +222,12 @@ class TestCli:
         code, _, err = run_cli(capsys, "mu-bound", "--input", poly_file, "--order", "lex")
         assert code == 2 and "--order" in err
 
+    @pytest.mark.parametrize("command", ["lct", "degenerate"])
+    def test_file_commands_have_no_seed_flag(self, capsys, poly_file, command):
+        # only the corpus commands and mu-bound read a seed
+        code, _, err = run_cli(capsys, command, "--seed", "1", "--input", poly_file)
+        assert code == 2 and "--seed" in err
+
     def test_gen_corpus_feeds_verify(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "gen-corpus", "--seed", "11", "--count", "6", "--dim", "2")
         assert code == 0
@@ -269,6 +275,21 @@ class TestCli:
         doc = json.loads(out)
         assert doc["failed"] == 3
         assert all("mult_diagonal" in r["violations"] for r in doc["reports"])
+
+    def test_length_mismatch_dumps_counterexample(self, capsys, monkeypatch, tmp_path):
+        # the boundary ideal x2^2 (x1^6, x2^2) has infinite length, so the
+        # length check runs on the perturbed primitive part (x1^6, x2^2 + x1^2 x2)
+        from staircase import degeneration
+
+        real_colength = degeneration.colength
+        monkeypatch.setattr(degeneration, "colength", lambda J: real_colength(J) + 1)
+        path = tmp_path / "prim.json"
+        path.write_text(json.dumps(POLY_DOC))
+        code, out, _ = run_cli(capsys, "degenerate", "--input", str(path))
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["counterexample"] == {"l_orig": 12, "l_initial": 13, "equal": False}
+        assert "degeneration changed the length" in doc["error"]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -320,7 +341,7 @@ class TestCliProcess:
         def failing(args):
             raise exc
 
-        monkeypatch.setitem(cli._HANDLERS, "verify", failing)
+        monkeypatch.setattr(cli, "_cmd_verify", failing)
         code, out, err = run_cli(capsys, "verify", "--count", "1")
         assert (code, out, err) == (3, "", f"staircase verify: {line}\n")
 
@@ -351,6 +372,33 @@ CLOSURE_CORPUS = {
         {"vars": 3, "kind": "monomial", "generators": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 0]]},
     ],
 }
+
+
+# sha256 of `--help` at 80 columns.  The top level, verify, codim2, mu-bound
+# and gen-corpus are the bytes from before the shared flags moved into parent
+# parsers; the six file commands differ from those only by the dropped --seed.
+PINNED_HELP = {
+    "": "7b27cfc4c15dcbc0c6c65360232891e298daf40429a0a5c8556c83c86d462a2e",
+    "lct": "8f2739f3620e40f4c91a7ac67426bbfde353b52e1dbf686f4bbd24b5ee29e0c6",
+    "length": "ab15dadd347cc70637da204895b55e9a2239521743f8a0cc1ef578938133fd26",
+    "mult": "65937f50b33acdcc137389b2f34c4c56f14c60a12c4d479e1e052f55dce82fed",
+    "polytope": "ac3eb32bccbe6013a25008a04843b48260e601cd5e8eb32f112953bc04c0a1a6",
+    "closure": "5a3c53af44853d4609b84351cec752683f571ba74c516619d2860d317e0d2076",
+    "verify": "90ed8fb829fb34cfb2c4555b4df5e150bed0ff79a61d9348f3ee67f31e4c8cfa",
+    "codim2": "2e55c6b735013871b59e2639d9ed4d73adabab3ab886b3d8a2df61b12a9487a9",
+    "degenerate": "157ed6247256e5affa8b7be6c7146915540de58485428bd33c2d96ffccf17dde",
+    "mu-bound": "d60aa617c4e499743a61083f12b9537fd9896d2d02234cffd9fb8731861f72b4",
+    "gen-corpus": "692758008f8f3e3f537f1eb4d29456c864472c2efdd0be46c984302de67b28ab",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help layout was recorded under Python 3.11")
+@pytest.mark.parametrize("command", list(PINNED_HELP), ids=lambda c: c or "top")
+def test_help_bytes_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, _ = run_cli(capsys, *filter(None, [command]), "--help")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HELP[command]
 
 
 @pytest.mark.parametrize("argv", list(PINNED_DIGESTS), ids=" ".join)
