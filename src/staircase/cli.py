@@ -14,7 +14,7 @@ import dataclasses
 import sys
 
 from . import __version__
-from .degeneration import mu_upper_bound_details, tangent_cone
+from .degeneration import least_certified_mu, mu_upper_bound_details, tangent_cone
 from .errors import ConsistencyError, NotZeroDimensionalError, StaircaseError
 from .groebner import initial_ideal
 from .ideal_io import corpus_to_document, format_rational, ideal_to_document, parse_ideal_file
@@ -227,12 +227,9 @@ def _cmd_degenerate(args):
 def _cmd_mu_bound(args):
     I = _load_poly(args)
     details = mu_upper_bound_details(I, trials=args.trials, seed=args.seed, budget=args.budget)
-    values = [mu for _, mu in details if mu is not None]
-    if not values:
-        raise StaircaseError("no degeneration trial certified a zero-dimensional content-free part")
     report = {
         "ideal": ideal_to_document(I),
-        "mu_upper_bound": format_rational(min(values)),
+        "mu_upper_bound": format_rational(least_certified_mu(details)),
         "trials": [{"label": label, "mu": format_rational(mu) if mu is not None else None} for label, mu in details],
     }
     return 0, [report], None
@@ -275,10 +272,7 @@ def main(argv=None) -> int:
         }
         sys.stdout.write(render_json(dump))
         return 1
-    except StaircaseError as exc:
-        print(f"staircase {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StaircaseError, OSError) as exc:
         print(f"staircase {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

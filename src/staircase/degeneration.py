@@ -166,7 +166,12 @@ def mu_upper_bound(I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = 2
     Weakly decreasing in the number of trials; trials that fail the
     zero-dimensionality certificate are skipped.
     """
-    details = mu_upper_bound_details(I, trials=trials, seed=seed, budget=budget)
+    return least_certified_mu(mu_upper_bound_details(I, trials=trials, seed=seed, budget=budget))
+
+
+def least_certified_mu(details: list[tuple[str, Fraction | None]]) -> Fraction:
+    """The smallest mu among the trials that certified; raises
+    NotZeroDimensionalError when none did."""
     values = [mu for _, mu in details if mu is not None]
     if not values:
         raise NotZeroDimensionalError(

@@ -1,65 +1,94 @@
-"""Buchberger's algorithm with full reduction.
+"""Buchberger's algorithm with full reduction, over the integers.
 
 Standard improvements only: coprime-leading-term pairs are skipped, the
-pair with the smallest lcm is processed first, results are kept monic and
-the final basis is inter-reduced, so the output is the unique reduced
-Groebner basis.  A configurable S-pair budget turns runaway inputs into a
-resource error instead of an endless run.
+pair with the smallest lcm is processed first, and the final basis is
+inter-reduced, so the output is the unique reduced Groebner basis.  A
+configurable S-pair budget turns runaway inputs into a resource error
+instead of an endless run.
+
+Polynomials inside are integer term maps, kept primitive with a positive
+leading coefficient.  A term c x^e is cancelled against a leading term
+a x^le by pseudo-reduction, work := (a/d) work - (c/d) x^(e-le) g with
+d = gcd(a, c), as in the fraction-free elimination of macaulay.  Every
+remainder is then a nonzero multiple of the remainder over the rationals,
+so leading terms, pairs and the basis are those of rational Buchberger;
+the basis is made monic over the rationals once, at the end.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd
 
 from .errors import ResourceError
-from .ideals import Exponent, MonomialIdeal, divides, exp_max, exp_sub
+from .ideals import Exponent, MonomialIdeal, divides, exp_add, exp_max, exp_sub
 from .polynomials import MonomialOrder, PolyIdeal, RationalPolynomial
 
+Terms = dict[Exponent, int]
 
-def reduce_full(f: RationalPolynomial, basis: list[RationalPolynomial], order: MonomialOrder) -> RationalPolynomial:
-    """Normal form of f: no term of the result is divisible by any basis leading term."""
-    if not basis:
-        return f
-    leads = [(order.leading_exponent(g), g) for g in basis]
-    work = dict(f.terms)
-    result: dict[Exponent, Fraction] = {}
+
+def _primitive(f: Terms, order: MonomialOrder) -> tuple[Exponent, Terms]:
+    """The leading exponent of f, and f divided by its content, signed so
+    that the leading coefficient is positive."""
+    lead = max(f, key=order.key)
+    g = gcd(*f.values())
+    if f[lead] < 0:
+        g = -g
+    return lead, f if g == 1 else {e: c // g for e, c in f.items()}
+
+
+def reduce_full(f: Terms, basis: list[tuple[Exponent, Terms]], order: MonomialOrder) -> Terms:
+    """A nonzero integer multiple of the normal form of f: no term of the
+    result is divisible by any basis leading exponent.  basis holds
+    (leading exponent, terms) pairs."""
+    work = dict(f)
+    result: Terms = {}
     while work:
         e = max(work, key=order.key)
         c = work.pop(e)
-        hit = None
-        for le, g in leads:
+        for le, g in basis:
             if divides(le, e):
-                hit = (le, g)
                 break
-        if hit is None:
+        else:
             result[e] = c
             continue
-        le, g = hit
-        factor = c / g.terms[le]
+        a = g[le]
+        d = gcd(a, c)
+        a, c = a // d, c // d
+        if a != 1:
+            work = {k: a * v for k, v in work.items()}
+            result = {k: a * v for k, v in result.items()}
         shift = exp_sub(e, le)
-        for ge, gc in g.terms.items():
+        for ge, gc in g.items():
             if ge == le:
                 continue
-            key = tuple(a + b for a, b in zip(ge, shift))
-            val = work.get(key, Fraction(0)) - factor * gc
-            if val == 0:
-                work.pop(key, None)
-            else:
+            key = exp_add(ge, shift)
+            val = work.get(key, 0) - c * gc
+            if val:
                 work[key] = val
-    return RationalPolynomial(f.n, result)
+            else:
+                work.pop(key, None)
+    return result
 
 
-def _monic(f: RationalPolynomial, order: MonomialOrder) -> RationalPolynomial:
-    _, lc = order.leading_term(f)
-    return f.scale(1 / lc)
-
-
-def s_polynomial(f: RationalPolynomial, g: RationalPolynomial, order: MonomialOrder) -> RationalPolynomial:
-    ef, cf = order.leading_term(f)
-    eg, cg = order.leading_term(g)
-    lcm = exp_max(ef, eg)
-    return f.term_mul(1 / cf, exp_sub(lcm, ef)) - g.term_mul(1 / cg, exp_sub(lcm, eg))
+def s_polynomial(f: tuple[Exponent, Terms], g: tuple[Exponent, Terms]) -> Terms:
+    """(b/d) x^(L-ef) f - (a/d) x^(L-eg) g, with a, b the leading
+    coefficients, d = gcd(a, b) and L the lcm of the leading exponents."""
+    (ef, tf), (eg, tg) = f, g
+    L = exp_max(ef, eg)
+    a, b = tf[ef], tg[eg]
+    d = gcd(a, b)
+    out: Terms = {}
+    for terms, scale, shift in ((tf, b // d, exp_sub(L, ef)), (tg, -(a // d), exp_sub(L, eg))):
+        for e, c in terms.items():
+            key = exp_add(e, shift)
+            val = out.get(key, 0) + scale * c
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+    return out
 
 
 def buchberger(
@@ -67,15 +96,15 @@ def buchberger(
     order: MonomialOrder,
     s_pair_budget: int = 50_000,
 ) -> tuple[RationalPolynomial, ...]:
-    """The reduced Groebner basis of the ideal generated by polys."""
-    basis = [_monic(p, order) for p in polys if not p.is_zero]
+    """The reduced Groebner basis of the ideal generated by polys, each
+    element monic, sorted by leading term."""
+    basis = [_primitive(p.integer_terms(), order) for p in polys if not p.is_zero]
     if not basis:
         raise ValueError("no nonzero generators")
-    leads = [order.leading_exponent(g) for g in basis]
 
     def push_pairs(upto: int):
         for i in range(upto):
-            lcm = exp_max(leads[i], leads[upto])
+            lcm = exp_max(basis[i][0], basis[upto][0])
             heapq.heappush(pairs, (order.key(lcm), i, upto))
 
     pairs: list = []
@@ -87,34 +116,27 @@ def buchberger(
         processed += 1
         if processed > s_pair_budget:
             raise ResourceError(f"S-pair budget of {s_pair_budget} exhausted")
-        ei, ej = leads[i], leads[j]
-        if exp_max(ei, ej) == tuple(a + b for a, b in zip(ei, ej)):
+        ei, ej = basis[i][0], basis[j][0]
+        if exp_max(ei, ej) == exp_add(ei, ej):
             continue  # coprime leading terms reduce to zero
-        s = s_polynomial(basis[i], basis[j], order)
-        r = reduce_full(s, basis, order)
-        if not r.is_zero:
-            basis.append(_monic(r, order))
-            leads.append(order.leading_exponent(basis[-1]))
+        r = reduce_full(s_polynomial(basis[i], basis[j]), basis, order)
+        if r:
+            basis.append(_primitive(r, order))
             push_pairs(len(basis) - 1)
 
     # Inter-reduce to the unique reduced basis.
-    leads = [order.leading_exponent(g) for g in basis]
-    keep = []
-    for idx, le in enumerate(leads):
-        if not any(i2 != idx and divides(leads[i2], le) and (leads[i2] != le or i2 < idx) for i2 in range(len(basis))):
-            keep.append(idx)
-    reduced = []
-    kept = [basis[i] for i in keep]
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        r = reduce_full(g, others, order)
-        if not r.is_zero:
-            reduced.append(_monic(r, order))
-    reduced.sort(key=lambda g: order.key(order.leading_exponent(g)))
-    return tuple(reduced)
+    kept = [
+        (le, g)
+        for idx, (le, g) in enumerate(basis)
+        if not any(i2 != idx and divides(l2, le) and (l2 != le or i2 < idx) for i2, (l2, _) in enumerate(basis))
+    ]
+    reduced = [_primitive(reduce_full(g, kept[:idx] + kept[idx + 1 :], order), order) for idx, (_, g) in enumerate(kept)]
+    reduced.sort(key=lambda t: order.key(t[0]))
+    n = polys[0].n
+    return tuple(RationalPolynomial(n, {e: Fraction(c, g[le]) for e, c in g.items()}) for le, g in reduced)
 
 
 def initial_ideal(I: PolyIdeal, order: MonomialOrder, s_pair_budget: int = 50_000) -> MonomialIdeal:
     """Monomial ideal of leading exponents of a Groebner basis of I."""
     gb = buchberger(list(I.gens), order, s_pair_budget=s_pair_budget)
-    return MonomialIdeal(I.n, tuple(order.leading_exponent(g) for g in gb))
+    return MonomialIdeal(I.n, tuple(max(g.terms, key=order.key) for g in gb))

@@ -34,7 +34,7 @@ they are those of elimination over the rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ConsistencyError, FormatError, NotZeroDimensionalError
 from .ideals import Exponent, MonomialIdeal
@@ -88,15 +88,9 @@ def _key(e: Exponent, base: int) -> int:
 
 
 def _integer_terms(I: PolyIdeal, base: int) -> list[list[tuple[int, int, int]]]:
-    """Each generator scaled to primitive integer coefficients, as (degree,
-    key, coefficient) sorted by degree; the key of x^e is sum e_i base^i."""
-    out = []
-    for g in I.gens:
-        den = lcm(*(c.denominator for c in g.terms.values()))
-        coeffs = [c.numerator * (den // c.denominator) for c in g.terms.values()]
-        content = gcd(*coeffs)
-        out.append(sorted((sum(e), _key(e, base), c // content) for e, c in zip(g.terms, coeffs)))
-    return out
+    """Each generator's primitive integer terms as (degree, key, coefficient)
+    sorted by degree; the key of x^e is sum e_i base^i."""
+    return [sorted((sum(e), _key(e, base), c) for e, c in g.integer_terms().items()) for g in I.gens]
 
 
 def _eliminate(I: PolyIdeal, N: int, cols: list[Exponent]) -> _Echelon:
@@ -206,7 +200,3 @@ def initial_ideal_pivots(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -
     ech = _eliminate(I, N, cols)
     return MonomialIdeal(I.n, tuple(cols[j] for j in ech.pivots))
 
-
-def truncated_length(I: PolyIdeal, budget: int = 24) -> int:
-    """Length of the quotient at the origin: dim R/m^(N+1) minus the row rank."""
-    return certify_truncation(I, None, budget).local_length

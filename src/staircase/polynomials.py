@@ -1,9 +1,12 @@
-"""Polynomials with exact rational coefficients and monomial orders.
+"""Polynomials with exact rational coefficients, and monomial orders.
 
-These are the inputs of the degeneration engine.  A polynomial is a finite
-map from exponent vectors to nonzero Fractions; orders are total,
-multiplicative and global, so leading terms and Groebner reductions are
-well defined.
+RationalPolynomial is the validated type at the edges of the degeneration
+engine: the parser builds it, reports print it, and Buchberger returns its
+basis in it.  A polynomial is a finite map from exponent vectors to nonzero
+Fractions.  Inside, the engine works on primitive integer term maps
+dict[Exponent, int] (see RationalPolynomial.integer_terms).  Orders are
+total, multiplicative and global, so leading terms and Groebner reductions
+are well defined.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 from typing import Literal
 
 from .errors import FormatError
-from .ideals import Exponent, MonomialIdeal, exp_add
+from .ideals import Exponent, MonomialIdeal, _validate_exponent, exp_add
 
 
 @dataclass
@@ -25,19 +29,11 @@ class RationalPolynomial:
     def __post_init__(self):
         clean: dict[Exponent, Fraction] = {}
         for e, c in self.terms.items():
-            e = tuple(int(x) for x in e)
-            if len(e) != self.n:
-                raise FormatError(f"term exponent {e} has length {len(e)}, expected {self.n}")
-            if any(x < 0 for x in e):
-                raise FormatError(f"term exponent {e} has a negative entry")
+            e = _validate_exponent(e, self.n)
             c = Fraction(c)
             if c != 0:
                 clean[e] = clean.get(e, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
-
-    @classmethod
-    def zero(cls, n: int) -> RationalPolynomial:
-        return cls(n, {})
 
     @classmethod
     def monomial(cls, n: int, exp: Exponent, coeff=1) -> RationalPolynomial:
@@ -47,52 +43,12 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def order_at_origin(self) -> int:
-        """Smallest total degree of a term (the vanishing order at 0)."""
-        if self.is_zero:
-            raise FormatError("the zero polynomial has no vanishing order")
-        return min(sum(e) for e in self.terms)
-
-    def degree(self) -> int:
-        if self.is_zero:
-            raise FormatError("the zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
-
-    def lowest_form(self) -> RationalPolynomial:
-        """Sum of the terms of smallest total degree."""
-        d = self.order_at_origin()
-        return RationalPolynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def __add__(self, other: RationalPolynomial) -> RationalPolynomial:
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return RationalPolynomial(self.n, out)
-
-    def __neg__(self) -> RationalPolynomial:
-        return RationalPolynomial(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: RationalPolynomial) -> RationalPolynomial:
-        return self + (-other)
-
-    def term_mul(self, coeff, exp: Exponent) -> RationalPolynomial:
-        """Multiply by the single term coeff * x^exp."""
-        coeff = Fraction(coeff)
-        return RationalPolynomial(
-            self.n, {exp_add(e, tuple(exp)): c * coeff for e, c in self.terms.items()}
-        )
-
-    def __mul__(self, other: RationalPolynomial) -> RationalPolynomial:
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return RationalPolynomial(self.n, out)
-
-    def scale(self, coeff) -> RationalPolynomial:
-        coeff = Fraction(coeff)
-        return RationalPolynomial(self.n, {e: c * coeff for e, c in self.terms.items()})
+    def integer_terms(self) -> dict[Exponent, int]:
+        """The terms times the positive rational that makes them coprime integers."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
+        content = gcd(*ints.values())
+        return {e: c // content for e, c in ints.items()}
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Canonical term sequence: descending lexicographic on exponents."""
@@ -105,28 +61,39 @@ class RationalPolynomial:
         return "RationalPolynomial(" + " + ".join(bits) + ")"
 
 
-def poly_pow(f: RationalPolynomial, k: int) -> RationalPolynomial:
-    out = RationalPolynomial.monomial(f.n, (0,) * f.n)
-    for _ in range(k):
-        out = out * f
+def _mul(f: dict[Exponent, int], g: dict[Exponent, int]) -> dict[Exponent, int]:
+    out: dict[Exponent, int] = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = exp_add(e1, e2)
+            out[e] = out.get(e, 0) + c1 * c2
     return out
 
 
 def substitute_linear(f: RationalPolynomial, matrix) -> RationalPolynomial:
-    """Apply the change of coordinates x_j -> sum_k matrix[j][k] x_k."""
+    """Apply the change of coordinates x_i -> sum_k matrix[i][k] x_k.
+
+    With an integer matrix the expansion runs over the integers, on the
+    numerators over a common denominator; the powers of each image are
+    computed once per call.
+    """
     n = f.n
-    images = [
-        RationalPolynomial(n, {tuple(int(k == j) for j in range(n)): Fraction(matrix[i][k]) for k in range(n)})
-        for i in range(n)
-    ]
-    out = RationalPolynomial.zero(n)
+    one = (0,) * n
+    images = [{tuple(int(k == j) for j in range(n)): m for k, m in enumerate(row) if m} for row in matrix]
+    powers = [[{one: 1}] for _ in range(n)]  # powers[i][p] is images[i] to the p
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    out: dict[Exponent, int] = {}
     for e, c in f.terms.items():
-        term = RationalPolynomial.monomial(n, (0,) * n, c)
-        for i, ei in enumerate(e):
-            if ei:
-                term = term * poly_pow(images[i], ei)
-        out = out + term
-    return out
+        term = {one: c.numerator * (den // c.denominator)}
+        for i, p in enumerate(e):
+            if p:
+                cached = powers[i]
+                while len(cached) <= p:
+                    cached.append(_mul(cached[-1], images[i]))
+                term = _mul(term, cached[p])
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + v
+    return RationalPolynomial(n, {e: Fraction(v, den) for e, v in out.items() if v})
 
 
 @dataclass(frozen=True)
@@ -135,36 +102,33 @@ class MonomialOrder:
 
     priority lists variable indices from most to least significant; None
     means (0, 1, ..., n-1).  weights (positive ints) only apply to the
-    weighted kind, where ties fall back to lex on the priority.
+    weighted kind, where ties fall back to lex on the priority.  The kind,
+    the priority and the weights are checked once, at construction.
     """
 
     kind: Literal["lex", "grevlex", "weighted"] = "grevlex"
     priority: tuple[int, ...] | None = None
     weights: tuple[int, ...] | None = None
 
-    def _prio(self, n: int) -> tuple[int, ...]:
-        if self.priority is None:
-            return tuple(range(n))
-        if sorted(self.priority) != list(range(n)):
-            raise FormatError(f"priority {self.priority} is not a permutation of 0..{n - 1}")
-        return self.priority
+    def __post_init__(self):
+        if self.kind not in ("lex", "grevlex", "weighted"):
+            raise FormatError(f"unknown order kind {self.kind!r}")
+        if self.priority is not None and sorted(self.priority) != list(range(len(self.priority))):
+            raise FormatError(f"priority {self.priority} is not a permutation of 0..{len(self.priority) - 1}")
+        if self.kind == "weighted" and (not self.weights or any(w <= 0 for w in self.weights)):
+            raise FormatError("weighted order needs positive weights")
 
     def key(self, exp: Exponent):
         """Sort key: larger key means larger monomial."""
         n = len(exp)
-        prio = self._prio(n)
+        prio = range(n) if self.priority is None else self.priority
+        if len(prio) != n or (self.kind == "weighted" and len(self.weights) != n):
+            raise FormatError(f"order {self} does not fit {n} variables")
         if self.kind == "lex":
             return tuple(exp[i] for i in prio)
         if self.kind == "grevlex":
             return (sum(exp), tuple(-exp[i] for i in reversed(prio)))
-        if self.kind == "weighted":
-            if self.weights is None or len(self.weights) != n or any(w <= 0 for w in self.weights):
-                raise FormatError("weighted order needs positive weights matching the ambient count")
-            return (
-                sum(w * e for w, e in zip(self.weights, exp)),
-                tuple(exp[i] for i in prio),
-            )
-        raise FormatError(f"unknown order kind {self.kind!r}")
+        return (sum(w * e for w, e in zip(self.weights, exp)), tuple(exp[i] for i in prio))
 
     def is_degree_compatible(self, n: int) -> bool:
         """True when larger total degree always means larger monomial."""
@@ -173,15 +137,6 @@ class MonomialOrder:
         if self.kind == "lex":
             return n == 1
         return len(set(self.weights or ())) == 1
-
-    def leading_exponent(self, f: RationalPolynomial) -> Exponent:
-        if f.is_zero:
-            raise FormatError("the zero polynomial has no leading term")
-        return max(f.terms, key=self.key)
-
-    def leading_term(self, f: RationalPolynomial) -> tuple[Exponent, Fraction]:
-        e = self.leading_exponent(f)
-        return e, f.terms[e]
 
 
 def default_order(kind: str = "grevlex", n: int = 2) -> MonomialOrder:
@@ -207,29 +162,6 @@ class PolyIdeal:
     @classmethod
     def from_monomial(cls, J: MonomialIdeal) -> PolyIdeal:
         return cls(J.n, tuple(RationalPolynomial.monomial(J.n, g) for g in J.gens))
-
-    def is_monomial(self) -> bool:
-        return all(len(g.terms) == 1 for g in self.gens)
-
-    def to_monomial(self) -> MonomialIdeal:
-        if not self.is_monomial():
-            raise FormatError("ideal has non-monomial generators")
-        return MonomialIdeal(self.n, tuple(next(iter(g.terms)) for g in self.gens))
-
-
-def poly_ideal_product(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
-    if I.n != J.n:
-        raise FormatError(f"ambient mismatch: {I.n} vs {J.n}")
-    return PolyIdeal(I.n, tuple(f * g for f in I.gens for g in J.gens))
-
-
-def poly_ideal_power(I: PolyIdeal, t: int) -> PolyIdeal:
-    if t < 1:
-        raise FormatError("poly_ideal_power needs t >= 1")
-    out = I
-    for _ in range(t - 1):
-        out = poly_ideal_product(out, I)
-    return out
 
 
 def monomials_of_degree(n: int, d: int) -> tuple[Exponent, ...]:

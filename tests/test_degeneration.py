@@ -28,8 +28,8 @@ from staircase import (
 )
 from staircase.degeneration import monomial_content_split
 from staircase.groebner import buchberger, reduce_full
-from staircase.macaulay import truncated_length
-from staircase.polynomials import poly_ideal_power
+from staircase.macaulay import certify_truncation
+from staircase.polynomials import substitute_linear
 
 F = Fraction
 
@@ -40,6 +40,24 @@ def P(n, *terms):
     for c, e in terms:
         acc[tuple(e)] = acc.get(tuple(e), F(0)) + F(c)
     return RationalPolynomial(n, acc)
+
+
+def product(f, g):
+    """f * g, for polynomials with Fraction coefficients."""
+    acc = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, F(0)) + c1 * c2
+    return RationalPolynomial(f.n, acc)
+
+
+def power(I, t):
+    """The ideal I^t, generated by all t-fold products of generators."""
+    gens = I.gens
+    for _ in range(t - 1):
+        gens = tuple(product(f, g) for f in gens for g in I.gens)
+    return PolyIdeal(I.n, gens)
 
 
 BOUNDARY_PRIMITIVE = PolyIdeal(2, (P(2, (1, (6, 0))), P(2, (1, (0, 2)), (1, (2, 1)))))
@@ -99,11 +117,12 @@ class TestBuchberger:
 
     def test_reduction_gives_zero_on_members(self):
         order = default_order("grevlex", 2)
-        gb = list(buchberger(list(BOUNDARY_PRIMITIVE.gens), order))
+        gb = [(max(g.terms, key=order.key), g.integer_terms()) for g in buchberger(list(BOUNDARY_PRIMITIVE.gens), order)]
         for f in BOUNDARY_PRIMITIVE.gens:
-            assert reduce_full(f, gb, order).is_zero
+            assert reduce_full(f.integer_terms(), gb, order) == {}
         # products of members reduce to zero as well
-        assert reduce_full(BOUNDARY_PRIMITIVE.gens[0] * BOUNDARY_PRIMITIVE.gens[1], gb, order).is_zero
+        f, g = BOUNDARY_PRIMITIVE.gens
+        assert reduce_full(product(f, g).integer_terms(), gb, order) == {}
 
     def test_reduced_basis_is_canonical(self):
         order = default_order("grevlex", 2)
@@ -135,44 +154,114 @@ class TestBuchberger:
             initial_ideal(I, MonomialOrder("grevlex"), s_pair_budget=0)
 
 
+def sympy_matches(sp, I, kind):
+    """buchberger agrees with sympy's reduced basis of I, both made monic."""
+    n = I.n
+    order = default_order(kind, n)
+    syms = [sp.Symbol(f"x{j}") for j in range(n)]
+    ordered = [syms[j] for j in reversed(range(n))]
+    prio = tuple(reversed(range(n)))
+
+    def to_expr(g):
+        e = 0
+        for exp, c in g.terms.items():
+            t = sp.Rational(c.numerator, c.denominator)
+            for j, ej in enumerate(exp):
+                t *= syms[j] ** ej
+            e += t
+        return sp.expand(e)
+
+    def monic_terms(p):
+        terms = {}
+        for mono, coeff in zip(p.monoms(), p.coeffs()):
+            e = [0] * n
+            for k, ek in enumerate(mono):
+                e[prio[k]] = ek
+            q = sp.Rational(coeff) / p.LC(order=kind)
+            terms[tuple(e)] = F(int(q.p), int(q.q))
+        return tuple(sorted(terms.items()))
+
+    gb = sp.groebner([to_expr(g) for g in I.gens], *ordered, order=kind)
+    theirs = {monic_terms(p) for p in gb.polys}
+    mine = {tuple(sorted(g.terms.items())) for g in buchberger(list(I.gens), order)}
+    return mine == theirs
+
+
 class TestExternalCrossValidation:
     def test_reduced_bases_match_sympy(self):
         # the reduced basis is unique per order, so set equality against an
-        # unrelated implementation is the strongest possible cross-check
+        # unrelated implementation is the strongest possible cross-check;
+        # the reweighted ideals have leading coefficients other than 1
         sp = pytest.importorskip("sympy")
-        from staircase.groebner import _monic
-
         for i in range(20):
+            I = random_origin_ideal(mix(12321, i), 2 if i % 2 == 0 else 3)
+            reweighted = PolyIdeal(
+                I.n, tuple(P(I.n, *((c * (2 + (e[0] + 2 * e[-1]) % 5), e) for e, c in g.terms.items())) for g in I.gens)
+            )
+            for J in (I, reweighted):
+                for kind in ("grevlex", "lex"):
+                    assert sympy_matches(sp, J, kind), (kind, i)
+
+
+class TestIntegerCore:
+    @pytest.mark.parametrize("exp", [(1.7, 0), (True, 2), (-1, 2), (1, 2, 3)])
+    def test_exponents_validated(self, exp):
+        from staircase import FormatError
+
+        with pytest.raises(FormatError):
+            RationalPolynomial(2, {exp: 1})
+
+    @given(
+        coeffs=st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+        exps=st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=4, max_size=4),
+        m=st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3),
+        point=st.tuples(*[st.integers(-4, 4)] * 3),
+    )
+    def test_substitute_linear_evaluates(self, coeffs, exps, m, point):
+        f = P(3, *((F(c, 3), e) for c, e in zip(coeffs, exps)))
+
+        def value(g, x):
+            return sum(c * math.prod(xi**ei for xi, ei in zip(x, e)) for e, c in g.terms.items())
+
+        image = [sum(m[i][k] * point[k] for k in range(3)) for i in range(3)]
+        assert value(substitute_linear(f, m), point) == value(f, image)
+
+    def test_pseudo_reduction_rescales_the_remainder(self):
+        # y^2 + x modulo 2x + 1 is y^2 - 1/2 over Q; over Z, twice that
+        g = {(1, 0): 2, (0, 0): 1}
+        f = {(0, 2): 1, (1, 0): 1}
+        assert reduce_full(f, [((1, 0), g)], MonomialOrder("grevlex")) == {(0, 2): 2, (0, 0): -1}
+
+    def test_fraction_coefficients_match_integer_multiple(self):
+        for i in range(10):
             n = 2 if i % 2 == 0 else 3
-            I = random_origin_ideal(mix(12321, i), n)
+            I = random_origin_ideal(mix(777, i), n)
+            scales = [F(1, 2), F(-3, 7), F(5, 3), F(7)]
+            halves = [RationalPolynomial(n, {e: s * c for e, c in g.terms.items()}) for g, s in zip(I.gens, scales * 2)]
             order = default_order("grevlex", n)
-            syms = [sp.Symbol(f"x{j}") for j in range(n)]
-            ordered = [syms[j] for j in reversed(range(n))]
-            prio = tuple(reversed(range(n)))
+            gb = buchberger(halves, order)
+            assert gb == buchberger(list(I.gens), order)
+            assert all(g.terms[max(g.terms, key=order.key)] == 1 for g in gb)
 
-            def to_expr(g):
-                e = 0
-                for exp, c in g.terms.items():
-                    t = sp.Rational(c.numerator, c.denominator)
-                    for j, ej in enumerate(exp):
-                        t *= syms[j] ** ej
-                    e += t
-                return sp.expand(e)
+    def test_polynomials_built_only_for_the_basis(self, monkeypatch):
+        I = random_origin_ideal(mix(4242, 3), 3)
+        built = []
+        real = RationalPolynomial.__post_init__
 
-            def from_poly(p):
-                terms = {}
-                for mono, coeff in zip(p.monoms(), p.coeffs()):
-                    e = [0] * n
-                    for k, ek in enumerate(mono):
-                        e[prio[k]] = ek
-                    q = sp.Rational(coeff)
-                    terms[tuple(e)] = F(int(q.p), int(q.q))
-                return RationalPolynomial(n, terms)
+        def counted(self):
+            built.append(self)
+            real(self)
 
-            gb = sp.groebner([to_expr(g) for g in I.gens], *ordered, order="grevlex")
-            theirs = {tuple(sorted(_monic(from_poly(p), order).terms.items())) for p in gb.polys}
-            mine = {tuple(sorted(g.terms.items())) for g in buchberger(list(I.gens), order)}
-            assert mine == theirs
+        monkeypatch.setattr(RationalPolynomial, "__post_init__", counted)
+        J = initial_ideal(I, default_order("grevlex", 3))
+        assert len(built) == len(J.gens) > 1
+
+    def test_priority_checked_at_construction(self):
+        from staircase import FormatError
+
+        for bad in [dict(kind="lex", priority=(0, 0)), dict(kind="grevlex", priority=(1, 2)), dict(kind="weighted")]:
+            with pytest.raises(FormatError):
+                MonomialOrder(**bad)
 
 
 class TestTangentCone:
@@ -205,11 +294,6 @@ class TestTangentCone:
         with pytest.raises(NotZeroDimensionalError):
             tangent_cone_initial(PolyIdeal(2, (g,)), budget=8)
 
-    def test_lowest_form_and_vanishing_order(self):
-        g = P(2, (1, (2, 1)), (1, (1, 2)), (1, (4, 0)))
-        assert g.order_at_origin() == 3
-        assert g.lowest_form() == P(2, (1, (2, 1)), (1, (1, 2)))
-
     def test_monomial_factor_handled(self):
         # (x y, x^2) = x (y, x): the content split makes this tractable
         I = PolyIdeal(2, (P(2, (1, (1, 1))), P(2, (1, (2, 0)))))
@@ -241,7 +325,7 @@ class TestLengthPreservation:
         assert check.l_orig == 3 == check.l_initial
 
     def test_truncated_length_alone(self):
-        assert truncated_length(BOUNDARY_PRIMITIVE) == 12
+        assert certify_truncation(BOUNDARY_PRIMITIVE).local_length == 12
 
 
 class TestOracleEquivalence:
@@ -277,7 +361,7 @@ class TestOracleEquivalence:
             PolyIdeal(2, (P(2, (1, (3, 0)), (2, (1, 2))), P(2, (1, (0, 2))))),
         ]
         for I in samples:
-            ins = {t: initial_ideal(poly_ideal_power(I, t), order) for t in (1, 2, 3, 4)}
+            ins = {t: initial_ideal(power(I, t), order) for t in (1, 2, 3, 4)}
             for s, t in [(1, 1), (1, 2), (2, 2)]:
                 prod = ideal_product(ins[s], ins[t])
                 assert ins[s + t].contains_ideal(prod)
@@ -437,7 +521,7 @@ class TestCertifyOnce:
         from staircase.ideal_io import ideal_to_document
 
         halves = PolyIdeal(2, (P(2, (F(1, 2), (2, 0)), (F(3, 7), (1, 1))), P(2, (F(5, 3), (0, 3)), (1, (1, 2)))))
-        scaled = PolyIdeal(2, tuple(g.scale(42) for g in halves.gens))
+        scaled = PolyIdeal(2, tuple(RationalPolynomial(2, {e: 42 * c for e, c in g.terms.items()}) for g in halves.gens))
         reports = []
         for I in (halves, scaled):
             path = tmp_path / "ideal.json"

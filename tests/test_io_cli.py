@@ -217,6 +217,15 @@ class TestCli:
         assert rep["mu_upper_bound"] == "3"
         assert any(t["mu"] == "3" for t in rep["trials"])
 
+    def test_mu_bound_without_certified_trial_fails(self, capsys, tmp_path):
+        # the curve x1^2 x2 + x1 x2^2 + x1^4 contains no maximal-ideal power
+        path = tmp_path / "curve.json"
+        terms = [{"coeff": "1", "exp": e} for e in ([2, 1], [1, 2], [4, 0])]
+        path.write_text(json.dumps({"vars": 2, "kind": "polynomial", "generators": [terms]}))
+        code, out, err = run_cli(capsys, "mu-bound", "--input", str(path), "--budget", "6", "--trials", "2")
+        assert (code, out) == (2, "")
+        assert err == "staircase mu-bound: no degeneration trial certified a zero-dimensional content-free part\n"
+
     def test_mu_bound_has_no_order_flag(self, capsys, poly_file):
         # mu-bound tries every built-in order, so an --order flag would do nothing
         code, _, err = run_cli(capsys, "mu-bound", "--input", poly_file, "--order", "lex")
