@@ -21,6 +21,7 @@ from .macaulay import (
     certify_truncation,
     certify_truncations,
     initial_ideal_pivots,
+    truncation_at,
 )
 from .polynomials import (
     MonomialOrder,
@@ -180,14 +181,34 @@ def least_certified_mu(details: list[tuple[str, Fraction | None]]) -> Fraction:
     return min(values)
 
 
+def _image_content(matrix: list[list[int]], content: tuple[int, ...]) -> tuple[int, ...]:
+    """The monomial content of phi(x^c), for the shear phi: x_i -> row i.
+
+    phi(x_i) is x_i when row i has no nonzero off-diagonal entry, and
+    otherwise a linear form with at least two terms, whose content is 1; the
+    x_k-adic order is additive, so contents of products add.
+    """
+    return tuple(0 if any(v for j, v in enumerate(row) if j != i) else c for i, (row, c) in enumerate(zip(matrix, content)))
+
+
 def mu_upper_bound_details(
     I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = 24
 ) -> list[tuple[str, Fraction | None]]:
     """Per-trial mu values (None when the trial's certificate failed).
 
-    The base orders degenerate the same content-free part, so its N is
-    searched once (certify_truncations); each shear changes the ideal and
-    searches its own.
+    Write I = x^c P with P content-free.  The base orders degenerate P, so
+    its N is searched once (certify_truncations).  A shear phi maps m onto m,
+    so m^N lies in P exactly when it lies in phi(P), with the same truncation
+    rank; and phi(I) = phi(x^c) phi(P) has content-free part u phi(P) / x^b,
+    with u = phi(x^c) over its content and x^b the content of phi(P).
+
+    * P certified: b = 0.  If phi fixes every x_i with c_i > 0, u = 1 and the
+      shear's part is phi(P); otherwise u lies in a proper principal ideal
+      and the part never certifies.  Each shear gets one truncation, at P's
+      N, and a disagreement with that raises ConsistencyError.
+    * P not certified: when b = 0 the shear's part lies in phi(P), which
+      does not certify either, so no truncation runs.  A shear that makes a
+      factor of P monomial (b != 0) searches its own N.
     """
     from .polytope import compute_mu
 
@@ -200,15 +221,33 @@ def mu_upper_bound_details(
             for (label, _), data in zip(base, truncations)
         ]
     except NotZeroDimensionalError:
+        truncations = None
         out = [(label, None) for label, _ in base]
     rng = random.Random(seed)
     order = default_order("grevlex", I.n)
     for t in range(trials):
         m = _shear_matrix(rng, I.n)
         label = f"shear[{t}] rows={m}"
-        transformed = PolyIdeal(I.n, tuple(substitute_linear(g, m) for g in I.gens))
-        try:
-            out.append((label, compute_mu(tangent_cone_initial(transformed, order, budget)).mu))
-        except NotZeroDimensionalError:
-            out.append((label, None))
+        sheared_content, sheared = monomial_content_split(
+            PolyIdeal(I.n, tuple(substitute_linear(g, m) for g in I.gens))
+        )
+        image = _image_content(m, content)
+        if truncations is not None:
+            first = truncations[0]
+            fixed = image == content
+            data = truncation_at(sheared, first.N, order)
+            if data.certified != fixed or (fixed and data.rank != first.rank):
+                raise ConsistencyError(
+                    f"{label} changed the truncation at N = {first.N}: certified {data.certified} with rank "
+                    f"{data.rank}, expected certified {fixed} with rank {first.rank} on {I}"
+                )
+        elif sheared_content == image:
+            data = None
+        else:
+            try:
+                data = certify_truncation(sheared, order, budget)
+            except NotZeroDimensionalError:
+                data = None
+        certified = data is not None and data.certified
+        out.append((label, compute_mu(_cone(I.n, sheared_content, data).initial).mu if certified else None))
     return out

@@ -13,11 +13,15 @@ d = gcd(a, c), as in the fraction-free elimination of macaulay.  Every
 remainder is then a nonzero multiple of the remainder over the rationals,
 so leading terms, pairs and the basis are those of rational Buchberger;
 the basis is made monic over the rationals once, at the end.
+
+Each buchberger call computes the order key of an exponent once, on first
+use, and keeps it for that call only (_Keys).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from fractions import Fraction
 from math import gcd
 
@@ -26,26 +30,39 @@ from .ideals import Exponent, MonomialIdeal, divides, exp_add, exp_max, exp_sub
 from .polynomials import MonomialOrder, PolyIdeal, RationalPolynomial
 
 Terms = dict[Exponent, int]
+Key = Callable[[Exponent], object]  # the sort key of a monomial order
 
 
-def _primitive(f: Terms, order: MonomialOrder) -> tuple[Exponent, Terms]:
+class _Keys(dict):
+    """Order keys by exponent, each computed on its first lookup."""
+
+    def __init__(self, order: MonomialOrder):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, e: Exponent):
+        k = self[e] = self.order.key(e)
+        return k
+
+
+def _primitive(f: Terms, key: Key) -> tuple[Exponent, Terms]:
     """The leading exponent of f, and f divided by its content, signed so
     that the leading coefficient is positive."""
-    lead = max(f, key=order.key)
+    lead = max(f, key=key)
     g = gcd(*f.values())
     if f[lead] < 0:
         g = -g
     return lead, f if g == 1 else {e: c // g for e, c in f.items()}
 
 
-def reduce_full(f: Terms, basis: list[tuple[Exponent, Terms]], order: MonomialOrder) -> Terms:
+def reduce_full(f: Terms, basis: list[tuple[Exponent, Terms]], key: Key) -> Terms:
     """A nonzero integer multiple of the normal form of f: no term of the
     result is divisible by any basis leading exponent.  basis holds
-    (leading exponent, terms) pairs."""
+    (leading exponent, terms) pairs; key is the order's sort key."""
     work = dict(f)
     result: Terms = {}
     while work:
-        e = max(work, key=order.key)
+        e = max(work, key=key)
         c = work.pop(e)
         for le, g in basis:
             if divides(le, e):
@@ -63,12 +80,12 @@ def reduce_full(f: Terms, basis: list[tuple[Exponent, Terms]], order: MonomialOr
         for ge, gc in g.items():
             if ge == le:
                 continue
-            key = exp_add(ge, shift)
-            val = work.get(key, 0) - c * gc
+            te = exp_add(ge, shift)
+            val = work.get(te, 0) - c * gc
             if val:
-                work[key] = val
+                work[te] = val
             else:
-                work.pop(key, None)
+                work.pop(te, None)
     return result
 
 
@@ -98,14 +115,15 @@ def buchberger(
 ) -> tuple[RationalPolynomial, ...]:
     """The reduced Groebner basis of the ideal generated by polys, each
     element monic, sorted by leading term."""
-    basis = [_primitive(p.integer_terms(), order) for p in polys if not p.is_zero]
+    key = _Keys(order).__getitem__
+    basis = [_primitive(p.integer_terms(), key) for p in polys if not p.is_zero]
     if not basis:
         raise ValueError("no nonzero generators")
 
     def push_pairs(upto: int):
         for i in range(upto):
             lcm = exp_max(basis[i][0], basis[upto][0])
-            heapq.heappush(pairs, (order.key(lcm), i, upto))
+            heapq.heappush(pairs, (key(lcm), i, upto))
 
     pairs: list = []
     for k in range(1, len(basis)):
@@ -119,9 +137,9 @@ def buchberger(
         ei, ej = basis[i][0], basis[j][0]
         if exp_max(ei, ej) == exp_add(ei, ej):
             continue  # coprime leading terms reduce to zero
-        r = reduce_full(s_polynomial(basis[i], basis[j]), basis, order)
+        r = reduce_full(s_polynomial(basis[i], basis[j]), basis, key)
         if r:
-            basis.append(_primitive(r, order))
+            basis.append(_primitive(r, key))
             push_pairs(len(basis) - 1)
 
     # Inter-reduce to the unique reduced basis.
@@ -130,8 +148,8 @@ def buchberger(
         for idx, (le, g) in enumerate(basis)
         if not any(i2 != idx and divides(l2, le) and (l2 != le or i2 < idx) for i2, (l2, _) in enumerate(basis))
     ]
-    reduced = [_primitive(reduce_full(g, kept[:idx] + kept[idx + 1 :], order), order) for idx, (_, g) in enumerate(kept)]
-    reduced.sort(key=lambda t: order.key(t[0]))
+    reduced = [_primitive(reduce_full(g, kept[:idx] + kept[idx + 1 :], key), key) for idx, (_, g) in enumerate(kept)]
+    reduced.sort(key=lambda t: key(t[0]))
     n = polys[0].n
     return tuple(RationalPolynomial(n, {e: Fraction(c, g[le]) for e, c in g.items()}) for le, g in reduced)
 

@@ -22,10 +22,11 @@ In the degree-ascending layout the number of degree-d pivots is the
 dimension of the space of degree-d lowest forms of the row space, and the
 order inside a degree only picks which monomials lead, not how many.  So
 the smallest certified N, a failure to certify, and the rank are the same
-under every order, and further orders need one truncation each, at that N.
+under every order, and further orders need one truncation each, at that N
+(truncation_at).
 
 Elimination is fraction-free: rows hold Python ints, each generator is
-scaled once to integer coefficients, a row is reduced by a pivot as
+scaled to integer coefficients once per call, a row is reduced by a pivot as
 row := (a/g) row - (c/g) pivot with g = gcd(a, c), and pivot rows are made
 primitive.  The pivot set and the rank depend only on the row space, so
 they are those of elimination over the rationals.
@@ -87,13 +88,20 @@ def _key(e: Exponent, base: int) -> int:
     return k
 
 
-def _integer_terms(I: PolyIdeal, base: int) -> list[list[tuple[int, int, int]]]:
-    """Each generator's primitive integer terms as (degree, key, coefficient)
-    sorted by degree; the key of x^e is sum e_i base^i."""
-    return [sorted((sum(e), _key(e, base), c) for e, c in g.integer_terms().items()) for g in I.gens]
+Terms = dict[Exponent, int]
 
 
-def _eliminate(I: PolyIdeal, N: int, cols: list[Exponent]) -> _Echelon:
+def _integer_generators(I: PolyIdeal) -> list[Terms]:
+    return [g.integer_terms() for g in I.gens]
+
+
+def _keyed_terms(gens: list[Terms], base: int) -> list[list[tuple[int, int, int]]]:
+    """Each generator's terms as (degree, key, coefficient) sorted by degree;
+    the key of x^e is sum e_i base^i."""
+    return [sorted((sum(e), _key(e, base), c) for e, c in g.items()) for g in gens]
+
+
+def _eliminate(gens: list[Terms], N: int, cols: list[Exponent]) -> _Echelon:
     """Echelon of all truncated monomial multiples of the generators.
 
     cols lists every monomial of degree <= N once; a row's columns are the
@@ -108,7 +116,7 @@ def _eliminate(I: PolyIdeal, N: int, cols: list[Exponent]) -> _Echelon:
         col_of[k] = j
         multipliers[sum(e)].append(k)
     ech = _Echelon()
-    for terms in _integer_terms(I, base):
+    for terms in _keyed_terms(gens, base):
         low = terms[0][0]
         for d in range(N - low + 1):
             kept = [(k, c) for deg, k, c in terms if deg + d <= N]
@@ -133,10 +141,10 @@ class TruncationData:
         return self.dim_truncated - self.rank
 
 
-def _run_truncation(I: PolyIdeal, N: int, order: MonomialOrder) -> TruncationData:
-    slices = [sorted(monomials_of_degree(I.n, d), key=order.key, reverse=True) for d in range(N + 1)]
+def _run_truncation(n: int, gens: list[Terms], N: int, order: MonomialOrder) -> TruncationData:
+    slices = [sorted(monomials_of_degree(n, d), key=order.key, reverse=True) for d in range(N + 1)]
     cols = [e for s in slices for e in s]
-    ech = _eliminate(I, N, cols)
+    ech = _eliminate(gens, N, cols)
     top = len(cols) - len(slices[N])  # first degree-N column
     return TruncationData(
         N=N,
@@ -145,6 +153,21 @@ def _run_truncation(I: PolyIdeal, N: int, order: MonomialOrder) -> TruncationDat
         pivot_exponents=tuple(sorted(cols[j] for j in ech.pivots)),
         certified=sum(1 for j in ech.pivots if j >= top) == len(slices[N]),
     )
+
+
+def _search(n: int, gens: list[Terms], order: MonomialOrder, budget: int) -> TruncationData:
+    for N in range(2, budget + 1):
+        data = _run_truncation(n, gens, N, order)
+        if data.certified:
+            return data
+    raise NotZeroDimensionalError(
+        f"could not certify a maximal-ideal power inside the ideal up to exponent {budget}"
+    )
+
+
+def truncation_at(I: PolyIdeal, N: int, order: MonomialOrder) -> TruncationData:
+    """The tangent-cone truncation of I at exactly N, certified or not."""
+    return _run_truncation(I.n, _integer_generators(I), N, order)
 
 
 def certify_truncation(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> TruncationData:
@@ -156,13 +179,7 @@ def certify_truncation(I: PolyIdeal, order: MonomialOrder | None = None, budget:
     """
     if order is None:
         order = default_order("grevlex", I.n)
-    for N in range(2, budget + 1):
-        data = _run_truncation(I, N, order)
-        if data.certified:
-            return data
-    raise NotZeroDimensionalError(
-        f"could not certify a maximal-ideal power inside the ideal up to exponent {budget}"
-    )
+    return _search(I.n, _integer_generators(I), order, budget)
 
 
 def certify_truncations(I: PolyIdeal, orders: list[MonomialOrder], budget: int = 24) -> list[TruncationData]:
@@ -172,10 +189,11 @@ def certify_truncations(I: PolyIdeal, orders: list[MonomialOrder], budget: int =
     truncation at the N found.  Certification and rank do not depend on the
     order, so a disagreement raises ConsistencyError.
     """
-    first = certify_truncation(I, orders[0], budget)
+    gens = _integer_generators(I)
+    first = _search(I.n, gens, orders[0], budget)
     out = [first]
     for order in orders[1:]:
-        data = _run_truncation(I, first.N, order)
+        data = _run_truncation(I.n, gens, first.N, order)
         if not data.certified or data.rank != first.rank:
             raise ConsistencyError(
                 f"truncation at N = {first.N} depends on the order: rank {data.rank} under {order}, "
@@ -197,6 +215,5 @@ def initial_ideal_pivots(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -
         raise FormatError("the truncated initial-ideal oracle needs a degree-compatible order")
     N = certify_truncation(I, order, budget).N
     cols = sorted((e for d in range(N + 1) for e in monomials_of_degree(I.n, d)), key=order.key, reverse=True)
-    ech = _eliminate(I, N, cols)
+    ech = _eliminate(_integer_generators(I), N, cols)
     return MonomialIdeal(I.n, tuple(cols[j] for j in ech.pivots))
-

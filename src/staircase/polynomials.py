@@ -15,10 +15,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
+from numbers import Rational
 from typing import Literal
 
 from .errors import FormatError
 from .ideals import Exponent, MonomialIdeal, _validate_exponent, exp_add
+
+
+def _validate_coefficient(c) -> Fraction:
+    """c as a Fraction; only ints and Fractions (not bools) are exact rationals here."""
+    if isinstance(c, bool) or not isinstance(c, Rational):
+        raise FormatError(f"coefficient {c!r} is not an integer or a Fraction")
+    return Fraction(c)
 
 
 @dataclass
@@ -30,14 +38,14 @@ class RationalPolynomial:
         clean: dict[Exponent, Fraction] = {}
         for e, c in self.terms.items():
             e = _validate_exponent(e, self.n)
-            c = Fraction(c)
+            c = _validate_coefficient(c)
             if c != 0:
                 clean[e] = clean.get(e, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     @classmethod
     def monomial(cls, n: int, exp: Exponent, coeff=1) -> RationalPolynomial:
-        return cls(n, {tuple(exp): Fraction(coeff)})
+        return cls(n, {tuple(exp): coeff})
 
     @property
     def is_zero(self) -> bool:

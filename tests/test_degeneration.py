@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import mix, random_origin_ideal
 from staircase import (
+    ConsistencyError,
+    FormatError,
     MonomialIdeal,
     MonomialOrder,
     NotZeroDimensionalError,
@@ -26,7 +30,7 @@ from staircase import (
     mu_upper_bound,
     tangent_cone_initial,
 )
-from staircase.degeneration import monomial_content_split
+from staircase.degeneration import _base_trials, _shear_matrix, monomial_content_split, mu_upper_bound_details
 from staircase.groebner import buchberger, reduce_full
 from staircase.macaulay import certify_truncation
 from staircase.polynomials import substitute_linear
@@ -119,10 +123,10 @@ class TestBuchberger:
         order = default_order("grevlex", 2)
         gb = [(max(g.terms, key=order.key), g.integer_terms()) for g in buchberger(list(BOUNDARY_PRIMITIVE.gens), order)]
         for f in BOUNDARY_PRIMITIVE.gens:
-            assert reduce_full(f.integer_terms(), gb, order) == {}
+            assert reduce_full(f.integer_terms(), gb, order.key) == {}
         # products of members reduce to zero as well
         f, g = BOUNDARY_PRIMITIVE.gens
-        assert reduce_full(product(f, g).integer_terms(), gb, order) == {}
+        assert reduce_full(product(f, g).integer_terms(), gb, order.key) == {}
 
     def test_reduced_basis_is_canonical(self):
         order = default_order("grevlex", 2)
@@ -145,6 +149,25 @@ class TestBuchberger:
     def test_equal_weights_accepted_by_truncated_oracle(self):
         order = MonomialOrder("weighted", weights=(2, 2), priority=(1, 0))
         assert initial_ideal_truncated(BOUNDARY_PRIMITIVE, order) == initial_ideal(BOUNDARY_PRIMITIVE, order)
+
+    def test_order_keys_computed_once_per_exponent(self, monkeypatch):
+        calls = Counter()
+        real = MonomialOrder.key
+
+        def counted(self, exp):
+            calls[exp] += 1
+            return real(self, exp)
+
+        for i in range(6):
+            n = 2 if i % 2 == 0 else 3
+            I = random_origin_ideal(mix(4242, i), n)
+            order = default_order("grevlex", n)
+            expected = buchberger(list(I.gens), order)
+            calls.clear()
+            monkeypatch.setattr(MonomialOrder, "key", counted)
+            assert buchberger(list(I.gens), order) == expected
+            monkeypatch.undo()
+            assert calls and max(calls.values()) == 1, i
 
     def test_pair_budget_exhaustion(self):
         from staircase import ResourceError
@@ -206,10 +229,36 @@ class TestExternalCrossValidation:
 class TestIntegerCore:
     @pytest.mark.parametrize("exp", [(1.7, 0), (True, 2), (-1, 2), (1, 2, 3)])
     def test_exponents_validated(self, exp):
-        from staircase import FormatError
-
         with pytest.raises(FormatError):
             RationalPolynomial(2, {exp: 1})
+
+    @pytest.mark.parametrize("coeff", [0.1, True, "1/3"])
+    def test_coefficients_validated(self, coeff):
+        with pytest.raises(FormatError):
+            RationalPolynomial(2, {(1, 0): coeff})
+        with pytest.raises(FormatError):
+            RationalPolynomial.monomial(2, (1, 0), coeff)
+
+    def test_exact_coefficients_accepted(self):
+        f = RationalPolynomial(2, {(1, 0): F(1, 3), (0, 1): 2})
+        assert f.terms == {(1, 0): F(1, 3), (0, 1): F(2)}
+        assert all(type(c) is Fraction for c in f.terms.values())
+        assert RationalPolynomial.monomial(2, (1, 1), 2).terms == {(1, 1): F(2)}
+
+    def test_certification_converts_each_generator_once(self, monkeypatch):
+        I = random_origin_ideal(mix(4242, 3), 3)
+        calls = []
+        real = RationalPolynomial.integer_terms
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(RationalPolynomial, "integer_terms", counted)
+        truncations = _count_truncations(monkeypatch)
+        certify_truncation(I)
+        assert len(truncations) > 1  # several N were tried
+        assert len(calls) == len(I.gens)
 
     @given(
         coeffs=st.lists(st.integers(-5, 5), min_size=1, max_size=4),
@@ -230,7 +279,7 @@ class TestIntegerCore:
         # y^2 + x modulo 2x + 1 is y^2 - 1/2 over Q; over Z, twice that
         g = {(1, 0): 2, (0, 0): 1}
         f = {(0, 2): 1, (1, 0): 1}
-        assert reduce_full(f, [((1, 0), g)], MonomialOrder("grevlex")) == {(0, 2): 2, (0, 0): -1}
+        assert reduce_full(f, [((1, 0), g)], MonomialOrder("grevlex").key) == {(0, 2): 2, (0, 0): -1}
 
     def test_fraction_coefficients_match_integer_multiple(self):
         for i in range(10):
@@ -534,6 +583,105 @@ class TestCertifyOnce:
         assert reports[0]["length"]["equal"] is True
 
 
+def _details_oracle(I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = 24):
+    """mu_upper_bound_details the long way: every base order and every shear
+    degenerates on its own, with its own N search."""
+
+    def mu(J, order):
+        try:
+            return compute_mu(tangent_cone_initial(J, order, budget)).mu
+        except NotZeroDimensionalError:
+            return None
+
+    out = [(label, mu(I, order)) for label, order in _base_trials(I.n)]
+    rng = random.Random(seed)
+    for t in range(trials):
+        m = _shear_matrix(rng, I.n)
+        sheared = PolyIdeal(I.n, tuple(substitute_linear(g, m) for g in I.gens))
+        out.append((f"shear[{t}] rows={m}", mu(sheared, default_order("grevlex", I.n))))
+    return out
+
+
+NON_MONOMIAL_FACTOR = PolyIdeal(2, (P(2, (1, (2, 0)), (1, (1, 1))), P(2, (1, (1, 2)), (1, (0, 3)))))
+
+
+def _x1_squared_times(I: PolyIdeal) -> PolyIdeal:
+    """x1^2 I: lower-triangular shears always fix x1, so every trial certifies."""
+    shift = (2,) + (0,) * (I.n - 1)
+    return PolyIdeal(I.n, tuple(
+        RationalPolynomial(I.n, {tuple(a + b for a, b in zip(e, shift)): c for e, c in g.terms.items()}) for g in I.gens
+    ))
+
+
+class TestShearsShareTheSearch:
+    def test_details_match_per_trial_search(self):
+        cases = [(random_origin_ideal(mix(4242, i), 2 if i % 2 == 0 else 3), i, 24) for i in range(12)]
+        cases += [
+            (BOUNDARY_IDEAL, 0, 24),
+            (_x1_squared_times(random_origin_ideal(mix(4242, 1), 3)), 5, 24),
+            (NON_MONOMIAL_FACTOR, 0, 8),
+        ]
+        for I, seed, budget in cases:
+            assert mu_upper_bound_details(I, seed=seed, budget=budget) == _details_oracle(I, seed=seed, budget=budget)
+
+    def test_worked_ideal_has_fixing_and_moving_shears(self):
+        shears = [mu for label, mu in mu_upper_bound_details(BOUNDARY_IDEAL) if label.startswith("shear")]
+        assert None in shears and 3 in shears
+
+    def test_worked_ideal_runs_one_truncation_per_shear(self, monkeypatch):
+        N = certify_truncation(BOUNDARY_PRIMITIVE).N
+        calls = _count_truncations(monkeypatch)
+        mu_upper_bound_details(BOUNDARY_IDEAL, trials=8)
+        assert calls == list(range(2, N + 1)) + [N] * (len(_base_trials(2)) - 1 + 8)
+        assert len(calls) == 17
+
+    def test_base_failure_runs_no_shear_truncation(self, monkeypatch):
+        calls = _count_truncations(monkeypatch)
+        details = mu_upper_bound_details(NON_MONOMIAL_FACTOR, trials=4, budget=8)
+        assert calls == list(range(2, 9))
+        assert len(details) == 4 + 4 and all(mu is None for _, mu in details)
+
+    def test_shear_that_makes_the_factor_monomial_searches_its_own_n(self, monkeypatch):
+        # (x1 + x2) (x1, x2^2) under x2 -> x2 - x1 becomes x2 (x1, (x2 - x1)^2):
+        # the sheared content-free part is no longer inside the image of P
+        m = [[1, 0], [-1, 1]]
+        _, part = monomial_content_split(PolyIdeal(2, tuple(substitute_linear(g, m) for g in NON_MONOMIAL_FACTOR.gens)))
+        N = certify_truncation(part).N
+        calls = _count_truncations(monkeypatch)
+        details = mu_upper_bound_details(NON_MONOMIAL_FACTOR, trials=8, budget=8)
+        assert details[4 + 5] == (f"shear[5] rows={m}", 1)
+        assert [mu for _, mu in details].count(None) == len(details) - 1
+        assert calls == list(range(2, 9)) + list(range(2, N + 1))
+
+    def test_rank_change_is_inconsistent(self, monkeypatch):
+        from dataclasses import replace
+
+        from staircase import degeneration
+
+        real = degeneration.truncation_at
+
+        def off_by_one(*args):
+            data = real(*args)
+            return replace(data, rank=data.rank + 1)
+
+        monkeypatch.setattr(degeneration, "truncation_at", off_by_one)
+        with pytest.raises(ConsistencyError, match="shear"):
+            mu_upper_bound_details(random_origin_ideal(mix(4242, 2), 2))
+
+    @pytest.mark.parametrize("I", [random_origin_ideal(mix(4242, 2), 2), BOUNDARY_IDEAL], ids=["origin", "worked"])
+    def test_flipped_row_condition_is_inconsistent(self, monkeypatch, I):
+        from staircase import degeneration
+
+        real = degeneration._image_content
+
+        def flipped(m, c):  # claims that fixing shears move the content, and moving ones fix it
+            return c if real(m, c) != c else tuple(x + 1 for x in c)
+
+        monkeypatch.setattr(degeneration, "_image_content", flipped)
+        with pytest.raises(ConsistencyError, match="shear"):
+            mu_upper_bound_details(I)
+
+
 def _count_truncations(monkeypatch) -> list[int]:
     """Record the N of every _run_truncation call."""
     from staircase import macaulay
@@ -541,9 +689,9 @@ def _count_truncations(monkeypatch) -> list[int]:
     calls: list[int] = []
     real = macaulay._run_truncation
 
-    def counted(I, N, order):
+    def counted(n, gens, N, order):
         calls.append(N)
-        return real(I, N, order)
+        return real(n, gens, N, order)
 
     monkeypatch.setattr(macaulay, "_run_truncation", counted)
     return calls

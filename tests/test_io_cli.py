@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import mix, random_origin_ideal
 from staircase import MonomialIdeal, ParseError, PolyIdeal
 from staircase.cli import main
 from staircase.ideal_io import (
@@ -371,6 +372,11 @@ PINNED_DIGESTS = {
     ("verify", "--seed", "0", "--count", "40", "--dim", "3"): "25dc4c0af96d62a26a1839889b4a986311d541fdf4dd442c9482b68352f29f16",
     ("verify", "--seed", "0", "--count", "40", "--dim", "4"): "a9da633583ea27c206739d0d394107881bfbc1ac58666058af473df26b9f9d1f",
     ("closure", "--input", "closure.json"): "425c41e10d97632d66f382328a056c7f116c8823f2e8d8ab777def7bd5e926a3",
+    # recorded before the mu-bound shears stopped searching their own N
+    ("mu-bound", "--input", "worked.json"): "f69ff77663e3a9d3d071a0b2a8e64d462b0fdb774873cc49f1835a22f01f1a5d",
+    ("mu-bound", "--seed", "3", "--input", "origin-a.json"): "672943c3228f099566f2f377d8ca11e0abe93c899e5ae3340b0591978eb0b191",
+    ("degenerate", "--input", "origin-b.json"): "a77ed6310e6e3df15bf858eaf3b3c95a6260cb90f759e967ab0583f65c3fe023",
+    ("degenerate", "--input", "origin-c.json"): "157ff32b9216a5c9a9065fc1424cfee80b6f1242aa65e5f17bffa2cd2ce8b158",
 }
 CLOSURE_CORPUS = {
     "kind": "corpus",
@@ -380,6 +386,22 @@ CLOSURE_CORPUS = {
         {"vars": 3, "kind": "monomial", "generators": [[2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 1]]},
         {"vars": 3, "kind": "monomial", "generators": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 0]]},
     ],
+}
+
+WORKED_DOC = {  # x2^2 (x1^6, x2^2 + x1^2 x2)
+    "vars": 2,
+    "kind": "polynomial",
+    "generators": [
+        [{"coeff": "1", "exp": [6, 2]}],
+        [{"coeff": "1", "exp": [0, 4]}, {"coeff": "1", "exp": [2, 3]}],
+    ],
+}
+PINNED_INPUTS = {
+    "closure.json": CLOSURE_CORPUS,
+    "worked.json": WORKED_DOC,
+    "origin-a.json": ideal_to_document(random_origin_ideal(mix(4242, 1), 3)),
+    "origin-b.json": ideal_to_document(random_origin_ideal(mix(515, 3), 3)),
+    "origin-c.json": ideal_to_document(random_origin_ideal(mix(4242, 2), 2)),
 }
 
 
@@ -412,8 +434,9 @@ def test_help_bytes_pinned(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("argv", list(PINNED_DIGESTS), ids=" ".join)
 def test_output_bytes_pinned(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.chdir(tmp_path)  # the closure report echoes its relative input path
-    (tmp_path / "closure.json").write_text(json.dumps(CLOSURE_CORPUS))
+    monkeypatch.chdir(tmp_path)  # reports echo their relative input path
+    for name, doc in PINNED_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
