@@ -16,13 +16,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, NotZeroDimensionalError
 from .ideals import MonomialIdeal, colength, exp_min, shift_ideal
-from .macaulay import (
-    TruncationData,
-    certify_truncation,
-    certify_truncations,
-    initial_ideal_pivots,
-    truncation_at,
-)
+from .macaulay import TruncationData, certify_truncation, initial_ideal_pivots, truncation_at
 from .polynomials import (
     MonomialOrder,
     PolyIdeal,
@@ -196,58 +190,57 @@ def mu_upper_bound_details(
 ) -> list[tuple[str, Fraction | None]]:
     """Per-trial mu values (None when the trial's certificate failed).
 
-    Write I = x^c P with P content-free.  The base orders degenerate P, so
-    its N is searched once (certify_truncations).  A shear phi maps m onto m,
-    so m^N lies in P exactly when it lies in phi(P), with the same truncation
+    Every trial is an order and a shear phi; the base orders take the
+    identity.  Write I = x^c P with P content-free.  phi maps m onto m, so
+    m^N lies in P exactly when it lies in phi(P), with the same truncation
     rank; and phi(I) = phi(x^c) phi(P) has content-free part u phi(P) / x^b,
-    with u = phi(x^c) over its content and x^b the content of phi(P).
+    with u = phi(x^c) over its content and x^b the content of phi(P).  The
+    first trial searches P's N once.
 
-    * P certified: b = 0.  If phi fixes every x_i with c_i > 0, u = 1 and the
-      shear's part is phi(P); otherwise u lies in a proper principal ideal
-      and the part never certifies.  Each shear gets one truncation, at P's
-      N, and a disagreement with that raises ConsistencyError.
-    * P not certified: when b = 0 the shear's part lies in phi(P), which
+    * P certified: b = 0.  If phi fixes every x_i with c_i > 0 (the row
+      condition, which the identity meets), u = 1 and the trial's part is
+      phi(P); otherwise u lies in a proper principal ideal and the part
+      never certifies.  Every other trial gets one truncation, at P's N,
+      and a disagreement with that raises ConsistencyError.
+    * P not certified: when b = 0 the trial's part lies in phi(P), which
       does not certify either, so no truncation runs.  A shear that makes a
       factor of P monomial (b != 0) searches its own N.
     """
     from .polytope import compute_mu
 
-    base = _base_trials(I.n)
-    content, primitive = monomial_content_split(I)
-    try:
-        truncations = certify_truncations(primitive, [order for _, order in base], budget)
-        out = [
-            (label, compute_mu(_cone(I.n, content, data).initial).mu)
-            for (label, _), data in zip(base, truncations)
-        ]
-    except NotZeroDimensionalError:
-        truncations = None
-        out = [(label, None) for label, _ in base]
     rng = random.Random(seed)
-    order = default_order("grevlex", I.n)
+    grevlex = default_order("grevlex", I.n)
+    runs = [(label, order, None) for label, order in _base_trials(I.n)]
     for t in range(trials):
         m = _shear_matrix(rng, I.n)
-        label = f"shear[{t}] rows={m}"
-        sheared_content, sheared = monomial_content_split(
-            PolyIdeal(I.n, tuple(substitute_linear(g, m) for g in I.gens))
-        )
-        image = _image_content(m, content)
-        if truncations is not None:
-            first = truncations[0]
+        runs.append((f"shear[{t}] rows={m}", grevlex, m))
+    content, primitive = monomial_content_split(I)
+    try:
+        first = certify_truncation(primitive, runs[0][1], budget)
+    except NotZeroDimensionalError:
+        first = None
+    out = []
+    for i, (label, order, m) in enumerate(runs):
+        if m is None:
+            part_content, part, image = content, primitive, content
+        else:
+            part_content, part = monomial_content_split(PolyIdeal(I.n, tuple(substitute_linear(g, m) for g in I.gens)))
+            image = _image_content(m, content)
+        if first is not None:
             fixed = image == content
-            data = truncation_at(sheared, first.N, order)
+            data = first if i == 0 else truncation_at(I.n, part.integer_generators, first.N, order)
             if data.certified != fixed or (fixed and data.rank != first.rank):
                 raise ConsistencyError(
                     f"{label} changed the truncation at N = {first.N}: certified {data.certified} with rank "
                     f"{data.rank}, expected certified {fixed} with rank {first.rank} on {I}"
                 )
-        elif sheared_content == image:
+        elif part_content == image:
             data = None
         else:
             try:
-                data = certify_truncation(sheared, order, budget)
+                data = certify_truncation(part, order, budget)
             except NotZeroDimensionalError:
                 data = None
         certified = data is not None and data.certified
-        out.append((label, compute_mu(_cone(I.n, sheared_content, data).initial).mu if certified else None))
+        out.append((label, compute_mu(_cone(I.n, part_content, data).initial).mu if certified else None))
     return out

@@ -18,26 +18,42 @@ sorted), so parse -> serialize is idempotent.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, ResourceError
 from .ideals import MonomialIdeal
 from .polynomials import PolyIdeal, RationalPolynomial
 
 
+def digit_limit_error() -> ResourceError:
+    """What rendering raises for an integer that Python will not convert to text."""
+    return ResourceError(
+        f"the report holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+        "Python's limit for converting an integer to text"
+    )
+
+
 def format_rational(x) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise digit_limit_error() from None
 
 
 def parse_rational(s, context: str = "value") -> Fraction:
+    """A JSON int, or a string "p" or "p/q" of ASCII digits with an optional sign on p."""
     if isinstance(s, bool):
         raise ParseError("expected a rational, got a boolean", context)
     if isinstance(s, int):
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {type(s).__name__}", context)
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
+        raise ParseError(f"bad rational {s!r}: expected the form p or p/q", context)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -121,6 +137,10 @@ def parse_ideal_text(text: str, context: str = "$") -> list[MonomialIdeal | Poly
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}") from None
+    except ValueError:  # json.loads builds ints with int(), which has a digit limit
+        raise ParseError(f"a number has more than {sys.get_int_max_str_digits()} digits", context) from None
+    except RecursionError:
+        raise ParseError("arrays or objects are nested too deeply", context) from None
     if isinstance(doc, dict) and doc.get("kind") == "corpus":
         items = doc.get("items")
         if not isinstance(items, list) or not items:

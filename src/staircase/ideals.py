@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 
 from .errors import DimensionError, FormatError, ResourceError
 
@@ -122,14 +122,24 @@ def minimalize(gens, n: int) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(tuple(g) for g in gens))
 
 
+def monomials_of_degree(n: int, d: int) -> tuple[Exponent, ...]:
+    """All exponent vectors in n variables of total degree d, sorted lexicographically."""
+    out = []
+    for combo in combinations_with_replacement(range(n), d):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return tuple(sorted(out))
+
+
 def maximal_ideal_power(n: int, q: int) -> MonomialIdeal:
     """The q-th power of (x_1, ..., x_n); generators are all exponents of total degree q."""
+    if n < 1:
+        raise FormatError(f"ambient variable count must be >= 1, got {n}")
     if q < 0:
         raise FormatError(f"power must be nonnegative, got {q}")
-    if q == 0:
-        return MonomialIdeal(n, ((0,) * n,))
-    gens = [e for e in iproduct(range(q + 1), repeat=n) if sum(e) == q]
-    return MonomialIdeal(n, tuple(gens))
+    return MonomialIdeal._from_antichain(n, monomials_of_degree(n, q))  # one degree: an antichain
 
 
 def is_zero_dimensional(J: MonomialIdeal) -> bool:

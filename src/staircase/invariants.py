@@ -26,7 +26,7 @@ from .ideals import (
     MonomialIdeal,
     colength,
     factor_out_gcd,
-    ideal_power,
+    ideal_product,
     integral_closure,
     is_power_of_maximal,
     is_zero_dimensional,
@@ -59,7 +59,7 @@ def multiplicity_limit_estimate(J: MonomialIdeal, t_max: int) -> tuple[Fraction,
     power = J
     for t in range(1, t_max + 1):
         if t > 1:
-            power = ideal_power(J, t)
+            power = ideal_product(power, J)
         out.append(Fraction(math.factorial(n) * colength(power), t**n))
     return tuple(out)
 

@@ -22,14 +22,16 @@ In the degree-ascending layout the number of degree-d pivots is the
 dimension of the space of degree-d lowest forms of the row space, and the
 order inside a degree only picks which monomials lead, not how many.  So
 the smallest certified N, a failure to certify, and the rank are the same
-under every order, and further orders need one truncation each, at that N
-(truncation_at).
+under every order, and further orders need one truncation each, at that N.
+truncation_at runs every truncation; certify_truncation calls it for
+N = 2, 3, ... until one certifies.
 
 Elimination is fraction-free: rows hold Python ints, each generator is
-scaled to integer coefficients once per call, a row is reduced by a pivot as
-row := (a/g) row - (c/g) pivot with g = gcd(a, c), and pivot rows are made
-primitive.  The pivot set and the rank depend only on the row space, so
-they are those of elimination over the rationals.
+scaled to integer coefficients once per ideal (PolyIdeal.integer_generators),
+a row is reduced by a pivot as row := (a/g) row - (c/g) pivot with
+g = gcd(a, c), and pivot rows are made primitive.  The pivot set and the
+rank depend only on the row space, so they are those of elimination over
+the rationals.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ConsistencyError, FormatError, NotZeroDimensionalError
-from .ideals import Exponent, MonomialIdeal
-from .polynomials import MonomialOrder, PolyIdeal, default_order, monomials_of_degree
+from .errors import FormatError, NotZeroDimensionalError
+from .ideals import Exponent, MonomialIdeal, monomials_of_degree
+from .polynomials import MonomialOrder, PolyIdeal, default_order
 
 
 class _Echelon:
@@ -91,17 +93,13 @@ def _key(e: Exponent, base: int) -> int:
 Terms = dict[Exponent, int]
 
 
-def _integer_generators(I: PolyIdeal) -> list[Terms]:
-    return [g.integer_terms() for g in I.gens]
-
-
-def _keyed_terms(gens: list[Terms], base: int) -> list[list[tuple[int, int, int]]]:
+def _keyed_terms(gens: tuple[Terms, ...], base: int) -> list[list[tuple[int, int, int]]]:
     """Each generator's terms as (degree, key, coefficient) sorted by degree;
     the key of x^e is sum e_i base^i."""
     return [sorted((sum(e), _key(e, base), c) for e, c in g.items()) for g in gens]
 
 
-def _eliminate(gens: list[Terms], N: int, cols: list[Exponent]) -> _Echelon:
+def _eliminate(gens: tuple[Terms, ...], N: int, cols: list[Exponent]) -> _Echelon:
     """Echelon of all truncated monomial multiples of the generators.
 
     cols lists every monomial of degree <= N once; a row's columns are the
@@ -141,7 +139,9 @@ class TruncationData:
         return self.dim_truncated - self.rank
 
 
-def _run_truncation(n: int, gens: list[Terms], N: int, order: MonomialOrder) -> TruncationData:
+def truncation_at(n: int, gens: tuple[Terms, ...], N: int, order: MonomialOrder) -> TruncationData:
+    """The tangent-cone truncation at exactly N, certified or not, of the
+    ideal in n variables generated by the integer term maps gens."""
     slices = [sorted(monomials_of_degree(n, d), key=order.key, reverse=True) for d in range(N + 1)]
     cols = [e for s in slices for e in s]
     ech = _eliminate(gens, N, cols)
@@ -155,21 +155,6 @@ def _run_truncation(n: int, gens: list[Terms], N: int, order: MonomialOrder) -> 
     )
 
 
-def _search(n: int, gens: list[Terms], order: MonomialOrder, budget: int) -> TruncationData:
-    for N in range(2, budget + 1):
-        data = _run_truncation(n, gens, N, order)
-        if data.certified:
-            return data
-    raise NotZeroDimensionalError(
-        f"could not certify a maximal-ideal power inside the ideal up to exponent {budget}"
-    )
-
-
-def truncation_at(I: PolyIdeal, N: int, order: MonomialOrder) -> TruncationData:
-    """The tangent-cone truncation of I at exactly N, certified or not."""
-    return _run_truncation(I.n, _integer_generators(I), N, order)
-
-
 def certify_truncation(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> TruncationData:
     """Find the smallest N <= budget with every degree-N monomial a pivot.
 
@@ -179,28 +164,14 @@ def certify_truncation(I: PolyIdeal, order: MonomialOrder | None = None, budget:
     """
     if order is None:
         order = default_order("grevlex", I.n)
-    return _search(I.n, _integer_generators(I), order, budget)
-
-
-def certify_truncations(I: PolyIdeal, orders: list[MonomialOrder], budget: int = 24) -> list[TruncationData]:
-    """certify_truncation under each order, searching N once.
-
-    The search runs under the first order; every other order gets one
-    truncation at the N found.  Certification and rank do not depend on the
-    order, so a disagreement raises ConsistencyError.
-    """
-    gens = _integer_generators(I)
-    first = _search(I.n, gens, orders[0], budget)
-    out = [first]
-    for order in orders[1:]:
-        data = _run_truncation(I.n, gens, first.N, order)
-        if not data.certified or data.rank != first.rank:
-            raise ConsistencyError(
-                f"truncation at N = {first.N} depends on the order: rank {data.rank} under {order}, "
-                f"{first.rank} under {orders[0]} on {I}"
-            )
-        out.append(data)
-    return out
+    gens = I.integer_generators
+    for N in range(2, budget + 1):
+        data = truncation_at(I.n, gens, N, order)
+        if data.certified:
+            return data
+    raise NotZeroDimensionalError(
+        f"could not certify a maximal-ideal power inside the ideal up to exponent {budget}"
+    )
 
 
 def initial_ideal_pivots(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -> MonomialIdeal:
@@ -215,5 +186,5 @@ def initial_ideal_pivots(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -
         raise FormatError("the truncated initial-ideal oracle needs a degree-compatible order")
     N = certify_truncation(I, order, budget).N
     cols = sorted((e for d in range(N + 1) for e in monomials_of_degree(I.n, d)), key=order.key, reverse=True)
-    ech = _eliminate(_integer_generators(I), N, cols)
+    ech = _eliminate(I.integer_generators, N, cols)
     return MonomialIdeal(I.n, tuple(cols[j] for j in ech.pivots))

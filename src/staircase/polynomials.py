@@ -12,8 +12,8 @@ are well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd, lcm
 from numbers import Rational
 from typing import Literal
@@ -167,17 +167,13 @@ class PolyIdeal:
             if g.is_zero:
                 raise FormatError("zero generators are not allowed")
 
+    @cached_property
+    def integer_generators(self) -> tuple[dict[Exponent, int], ...]:
+        """Each generator's integer_terms, converted on first use; the
+        generators are not changed after construction."""
+        return tuple(g.integer_terms() for g in self.gens)
+
     @classmethod
     def from_monomial(cls, J: MonomialIdeal) -> PolyIdeal:
         return cls(J.n, tuple(RationalPolynomial.monomial(J.n, g) for g in J.gens))
 
-
-def monomials_of_degree(n: int, d: int) -> tuple[Exponent, ...]:
-    """All exponent vectors in n variables of total degree d, deterministic order."""
-    out = []
-    for combo in combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return tuple(sorted(set(out)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .ideal_io import format_rational
+from .ideal_io import digit_limit_error, format_rational
 from .invariants import Codim2Report, ZeroDimReport
 
 SCHEMA_VERSION = 1
@@ -84,7 +84,10 @@ def make_document(command: str, input_echo, reports: list[dict], version: str, e
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    except ValueError:  # an int past Python's int-to-text limit
+        raise digit_limit_error() from None
 
 
 def _tsv_cell(value, sep: str = ";") -> str:
@@ -108,6 +111,9 @@ def render_tsv(doc: dict) -> str:
         return ""
     header = list(reports[0].keys())
     lines = ["\t".join(header)]
-    for r in reports:
-        lines.append("\t".join(_tsv_cell(r.get(k)) for k in header))
+    try:
+        for r in reports:
+            lines.append("\t".join(_tsv_cell(r.get(k)) for k in header))
+    except ValueError:  # an int past Python's int-to-text limit
+        raise digit_limit_error() from None
     return "\n".join(lines) + "\n"

@@ -511,20 +511,6 @@ class TestCertifyOnce:
             }
             assert len(found) == 1
 
-    def test_certify_truncations_searches_once(self, monkeypatch):
-        from staircase import macaulay
-        from staircase.degeneration import _base_trials
-
-        I = random_origin_ideal(mix(4242, 1), 3)
-        orders = [order for _, order in _base_trials(3)]
-        calls = _count_truncations(monkeypatch)
-        datas = macaulay.certify_truncations(I, orders)
-        N = datas[0].N
-        assert calls[: N - 1] == list(range(2, N + 1))
-        assert calls[N - 1 :] == [N] * (len(orders) - 1)
-        for data, order in zip(datas, orders):
-            assert data == macaulay.certify_truncation(I, order)
-
     def test_degenerate_searches_n_once(self, monkeypatch, tmp_path):
         from staircase.cli import main
         from staircase.ideal_io import ideal_to_document
@@ -665,8 +651,8 @@ class TestShearsShareTheSearch:
             return replace(data, rank=data.rank + 1)
 
         monkeypatch.setattr(degeneration, "truncation_at", off_by_one)
-        with pytest.raises(ConsistencyError, match="shear"):
-            mu_upper_bound_details(random_origin_ideal(mix(4242, 2), 2))
+        with pytest.raises(ConsistencyError, match=r"grevlex priority=\(1, 0\) changed the truncation"):
+            mu_upper_bound_details(random_origin_ideal(mix(4242, 2), 2))  # the second base order disagrees first
 
     @pytest.mark.parametrize("I", [random_origin_ideal(mix(4242, 2), 2), BOUNDARY_IDEAL], ids=["origin", "worked"])
     def test_flipped_row_condition_is_inconsistent(self, monkeypatch, I):
@@ -683,15 +669,16 @@ class TestShearsShareTheSearch:
 
 
 def _count_truncations(monkeypatch) -> list[int]:
-    """Record the N of every _run_truncation call."""
-    from staircase import macaulay
+    """Record the N of every truncation_at call, from the search and from the trials."""
+    from staircase import degeneration, macaulay
 
     calls: list[int] = []
-    real = macaulay._run_truncation
+    real = macaulay.truncation_at
 
     def counted(n, gens, N, order):
         calls.append(N)
         return real(n, gens, N, order)
 
-    monkeypatch.setattr(macaulay, "_run_truncation", counted)
+    monkeypatch.setattr(macaulay, "truncation_at", counted)
+    monkeypatch.setattr(degeneration, "truncation_at", counted)
     return calls

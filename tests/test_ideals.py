@@ -122,6 +122,20 @@ class TestColength:
         with pytest.raises(DimensionError):
             colength(MonomialIdeal(2, [(1, 1)]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_maximal_power_matches_filter_definition(self, n):
+        for q in range(7):
+            gens = [e for e in product(range(q + 1), repeat=n) if sum(e) == q]
+            J = maximal_ideal_power(n, q)
+            assert J == MonomialIdeal(n, tuple(gens))
+            assert J.is_unit == (q == 0)
+
+    def test_maximal_power_rejects_bad_arguments(self):
+        with pytest.raises(FormatError):
+            maximal_ideal_power(2, -1)
+        with pytest.raises(FormatError):
+            maximal_ideal_power(0, 2)
+
     @pytest.mark.parametrize("n,q", [(1, 4), (2, 3), (3, 4), (4, 2)])
     def test_maximal_power_closed_form(self, n, q):
         J = maximal_ideal_power(n, q)

@@ -53,6 +53,24 @@ class TestLimitEstimate:
         assert multiplicity_limit_estimate(J62, 1) == (F(2 * colength(J62)),)
         assert multiplicity_limit_estimate(J62, 1)[0] == 24
 
+    def test_powers_built_one_product_each(self, monkeypatch):
+        import math
+
+        from staircase import colength, invariants
+
+        J = MonomialIdeal(3, [(4, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (2, 0, 1)])
+        expected = tuple(F(math.factorial(3) * colength(ideal_power(J, t)), t**3) for t in range(1, 9))
+        calls = []
+        real = invariants.ideal_product
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(invariants, "ideal_product", counted)
+        assert multiplicity_limit_estimate(J, 8) == expected
+        assert len(calls) == 8 - 1
+
     def test_cap_on_power_exponent(self):
         from staircase import ResourceError
 

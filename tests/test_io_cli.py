@@ -93,6 +93,17 @@ class TestFormat:
         assert format_rational(Fraction(-4, 2)) == "-2"
         assert parse_rational("7/3") == Fraction(7, 3)
 
+    @pytest.mark.parametrize("text", ["1e5", "1.5", "1_000", " 3", "3/-4", "1e3000000"])
+    def test_rational_other_forms_rejected(self, text):
+        with pytest.raises(ParseError, match="expected the form p or p/q"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("value,expected", [("-7/3", (-7, 3)), ("+2", (2, 1)), (4, (4, 1))])
+    def test_rational_documented_forms_parse(self, value, expected):
+        from fractions import Fraction
+
+        assert parse_rational(value) == Fraction(*expected)
+
 
 class TestCli:
     @pytest.fixture
@@ -363,6 +374,25 @@ class TestCliProcess:
         path.write_text(json.dumps({"vars": 2, "kind": "monomial", "generators": [[6, 0], [0, 2]]}))
         code, out, err = run_cli(capsys, "closure", "--input", str(path))
         assert code == 2 and out == "" and "budget" in err
+
+    @pytest.mark.parametrize("case", ["long exponent", "deep nesting", "long colength"])
+    def test_python_limits_exit_2(self, capsys, tmp_path, case):
+        # json.loads and int-to-text conversion stop at sys.get_int_max_str_digits()
+        # digits, and json.loads at the recursion limit; none of these is a bug
+        limit = sys.get_int_max_str_digits()
+        a = 10 ** (limit // 2 + 350)  # parses, but a^2 has more than limit digits
+        text = {
+            "long exponent": '{"vars": 1, "kind": "monomial", "generators": [[%s]]}' % ("9" * (limit + 700)),
+            "deep nesting": "[" * 200_000 + "]" * 200_000,
+            "long colength": json.dumps({"vars": 2, "kind": "monomial", "generators": [[a, 0], [0, a]]}),
+        }[case]
+        path = tmp_path / "ideal.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "length", "--input", str(path))
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("staircase length: ") and "unexpected" not in err
+        if case == "long colength":
+            assert f"more than {limit} digits" in err
 
 
 # sha256 of the JSON output, recorded before is_power_of_maximal stopped
