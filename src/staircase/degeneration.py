@@ -6,6 +6,11 @@ grow, so the monomial side yields certified upper bounds for mu of the
 original ideal.  A common monomial factor is split off first and carried
 through the degeneration unchanged, which is what makes ideals like
 x2^2 * (zero-dimensional part) tractable.
+
+The mu bound runs a family of trials, each an order and a shear.  Shears
+act on integer term maps (polynomials.substitute_linear), not on
+RationalPolynomial, and each distinct trial runs once per call; see
+mu_upper_bound_details.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, NotZeroDimensionalError
-from .ideals import MonomialIdeal, colength, exp_min, shift_ideal
+from .ideals import MonomialIdeal, colength, exp_min, exp_sub, shift_ideal
 from .macaulay import TruncationData, certify_truncation, initial_ideal_pivots, truncation_at
 from .polynomials import (
     MonomialOrder,
@@ -26,6 +31,19 @@ from .polynomials import (
 )
 
 
+def _split_content(gens: tuple[dict, ...]) -> tuple[tuple[int, ...], tuple[dict, ...]]:
+    """Largest x^c dividing every term map of gens (any coefficients), and
+    the maps over x^c (gens itself when c = 0)."""
+    content = None
+    for g in gens:
+        for e in g:
+            content = e if content is None else exp_min(content, e)
+    assert content is not None
+    if not any(content):
+        return content, gens
+    return content, tuple({exp_sub(e, content): c for e, c in g.items()} for g in gens)
+
+
 def monomial_content_split(I: PolyIdeal) -> tuple[tuple[int, ...], PolyIdeal]:
     """Largest monomial x^c dividing every generator, and the quotient ideal.
 
@@ -33,20 +51,10 @@ def monomial_content_split(I: PolyIdeal) -> tuple[tuple[int, ...], PolyIdeal]:
     common factor leaves the quotient non-zero-dimensional and is reported
     as such downstream.
     """
-    content = None
-    for g in I.gens:
-        gmin = None
-        for e in g.terms:
-            gmin = e if gmin is None else exp_min(gmin, e)
-        content = gmin if content is None else exp_min(content, gmin)
-    assert content is not None
+    content, shifted = _split_content(tuple(g.terms for g in I.gens))
     if not any(content):
-        return tuple(content), I
-    shifted = tuple(
-        RationalPolynomial(I.n, {tuple(a - b for a, b in zip(e, content)): c for e, c in g.terms.items()})
-        for g in I.gens
-    )
-    return tuple(content), PolyIdeal(I.n, shifted)
+        return content, I
+    return content, PolyIdeal(I.n, tuple(RationalPolynomial(I.n, g) for g in shifted))
 
 
 @dataclass(frozen=True)
@@ -185,23 +193,34 @@ def _image_content(matrix: list[list[int]], content: tuple[int, ...]) -> tuple[i
     return tuple(0 if any(v for j, v in enumerate(row) if j != i) else c for i, (row, c) in enumerate(zip(matrix, content)))
 
 
+def _is_identity(matrix: list[list[int]]) -> bool:
+    return all(v == (i == j) for i, row in enumerate(matrix) for j, v in enumerate(row))
+
+
 def mu_upper_bound_details(
     I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = 24
 ) -> list[tuple[str, Fraction | None]]:
     """Per-trial mu values (None when the trial's certificate failed).
 
     Every trial is an order and a shear phi; the base orders take the
-    identity.  Write I = x^c P with P content-free.  phi maps m onto m, so
-    m^N lies in P exactly when it lies in phi(P), with the same truncation
-    rank; and phi(I) = phi(x^c) phi(P) has content-free part u phi(P) / x^b,
-    with u = phi(x^c) over its content and x^b the content of phi(P).  The
-    first trial searches P's N once.
+    identity.  A trial runs once per call: it is keyed by its order and its
+    shear rows, an identity shear keyed as its base order (the grevlex
+    default order is always a base order), and a repeat reports the first
+    run's mu under its own label.  A shear runs on the integer term maps of
+    the generators (substitute_linear), and its content is split off the
+    maps, which go straight into the truncation.
+
+    Write I = x^c P with P content-free.  phi maps m onto m, so m^N lies in
+    P exactly when it lies in phi(P), with the same truncation rank; and
+    phi(I) = phi(x^c) phi(P) has content-free part u phi(P) / x^b, with
+    u = phi(x^c) over its content and x^b the content of phi(P).  The first
+    trial searches P's N once.
 
     * P certified: b = 0.  If phi fixes every x_i with c_i > 0 (the row
       condition, which the identity meets), u = 1 and the trial's part is
       phi(P); otherwise u lies in a proper principal ideal and the part
-      never certifies.  Every other trial gets one truncation, at P's N,
-      and a disagreement with that raises ConsistencyError.
+      never certifies.  Every other distinct trial gets one truncation, at
+      P's N, and a disagreement with that raises ConsistencyError.
     * P not certified: when b = 0 the trial's part lies in phi(P), which
       does not certify either, so no truncation runs.  A shear that makes a
       factor of P monomial (b != 0) searches its own N.
@@ -213,34 +232,40 @@ def mu_upper_bound_details(
     runs = [(label, order, None) for label, order in _base_trials(I.n)]
     for t in range(trials):
         m = _shear_matrix(rng, I.n)
-        runs.append((f"shear[{t}] rows={m}", grevlex, m))
+        runs.append((f"shear[{t}] rows={m}", grevlex, None if _is_identity(m) else tuple(map(tuple, m))))
     content, primitive = monomial_content_split(I)
+    searched = (runs[0][1], None)  # the first base order, whose N is searched
     try:
-        first = certify_truncation(primitive, runs[0][1], budget)
+        first = certify_truncation(primitive, searched[0], budget)
     except NotZeroDimensionalError:
         first = None
+    mus: dict[tuple[MonomialOrder, tuple | None], Fraction | None] = {}
     out = []
-    for i, (label, order, m) in enumerate(runs):
-        if m is None:
-            part_content, part, image = content, primitive, content
-        else:
-            part_content, part = monomial_content_split(PolyIdeal(I.n, tuple(substitute_linear(g, m) for g in I.gens)))
-            image = _image_content(m, content)
-        if first is not None:
-            fixed = image == content
-            data = first if i == 0 else truncation_at(I.n, part.integer_generators, first.N, order)
-            if data.certified != fixed or (fixed and data.rank != first.rank):
-                raise ConsistencyError(
-                    f"{label} changed the truncation at N = {first.N}: certified {data.certified} with rank "
-                    f"{data.rank}, expected certified {fixed} with rank {first.rank} on {I}"
-                )
-        elif part_content == image:
-            data = None
-        else:
-            try:
-                data = certify_truncation(part, order, budget)
-            except NotZeroDimensionalError:
+    for label, order, rows in runs:
+        trial = (order, rows)
+        if trial not in mus:
+            if rows is None:
+                part_content, part, image = content, primitive.integer_generators, content
+            else:
+                part_content, part = _split_content(tuple(substitute_linear(g, rows) for g in I.integer_generators))
+                image = _image_content(rows, content)
+            if first is not None:
+                fixed = image == content
+                data = first if trial == searched else truncation_at(I.n, part, first.N, order)
+                if data.certified != fixed or (fixed and data.rank != first.rank):
+                    raise ConsistencyError(
+                        f"{label} changed the truncation at N = {first.N}: certified {data.certified} with rank "
+                        f"{data.rank}, expected certified {fixed} with rank {first.rank} on {I}"
+                    )
+            elif part_content == image:
                 data = None
-        certified = data is not None and data.certified
-        out.append((label, compute_mu(_cone(I.n, part_content, data).initial).mu if certified else None))
+            else:
+                sheared = PolyIdeal(I.n, tuple(RationalPolynomial(I.n, g) for g in part))
+                try:
+                    data = certify_truncation(sheared, order, budget)
+                except NotZeroDimensionalError:
+                    data = None
+            certified = data is not None and data.certified
+            mus[trial] = compute_mu(_cone(I.n, part_content, data).initial).mu if certified else None
+        out.append((label, mus[trial]))
     return out

@@ -1,10 +1,24 @@
 """Buchberger's algorithm with full reduction, over the integers.
 
-Standard improvements only: coprime-leading-term pairs are skipped, the
-pair with the smallest lcm is processed first, and the final basis is
-inter-reduced, so the output is the unique reduced Groebner basis.  A
-configurable S-pair budget turns runaway inputs into a resource error
-instead of an endless run.
+Pairs are pruned by the Gebauer-Moeller criteria (Gebauer and Moeller,
+"On an installation of Buchberger's algorithm", JSC 1988).  When a new
+element h joins the basis:
+
+* criterion B drops every old pair (f, g) whose lcm L the leading
+  exponent of h divides, unless lcm(f, h) or lcm(g, h) equals L;
+* criteria M and F keep, among the new pairs (g, h), only those whose lcm
+  no other new pair's lcm divides, one per lcm;
+* a new pair with coprime leading exponents is then dropped, since its
+  S-polynomial reduces to zero;
+* every live element whose leading exponent h's divides is retired.
+
+The live elements are the reducers: S-polynomials reduce against them
+only, while a retired element keeps the pairs it already has.  The pair
+with the smallest lcm is processed first, and the final basis is
+inter-reduced, so the output is the unique reduced Groebner basis.  The
+S-pair budget counts processed pairs, the ones whose S-polynomial is
+formed; pruned pairs are never counted.  Past the budget the run stops
+with a resource error instead of running on.
 
 Polynomials inside are integer term maps, kept primitive with a positive
 leading coefficient.  A term c x^e is cancelled against a leading term
@@ -27,9 +41,8 @@ from math import gcd
 
 from .errors import ResourceError
 from .ideals import Exponent, MonomialIdeal, divides, exp_add, exp_max, exp_sub
-from .polynomials import MonomialOrder, PolyIdeal, RationalPolynomial
+from .polynomials import MonomialOrder, PolyIdeal, RationalPolynomial, Terms
 
-Terms = dict[Exponent, int]
 Key = Callable[[Exponent], object]  # the sort key of a monomial order
 
 
@@ -119,34 +132,52 @@ def buchberger(
     basis = [_primitive(p.integer_terms(), key) for p in polys if not p.is_zero]
     if not basis:
         raise ValueError("no nonzero generators")
+    live: list[int] = []  # indices into basis of the elements that reduce
+    reducers: list[tuple[Exponent, Terms]] = []
+    pairs: list[tuple[object, int, int, Exponent]] = []  # heap of (key of the lcm, i, j, lcm)
 
-    def push_pairs(upto: int):
-        for i in range(upto):
-            lcm = exp_max(basis[i][0], basis[upto][0])
-            heapq.heappush(pairs, (key(lcm), i, upto))
+    def update(k: int) -> None:
+        """Add basis[k]: criterion B on the old pairs, M and F on the new
+        ones, then retire the live elements whose leads basis[k]'s divides."""
+        nonlocal pairs, live, reducers
+        lead = basis[k][0]
+        new = [(exp_max(basis[i][0], lead), i) for i in live]
+        kept: list[tuple[Exponent, int, bool]] = []
+        for idx, (L, i) in enumerate(new):
+            coprime = L == exp_add(basis[i][0], lead)
+            if coprime or not (
+                any(divides(L2, L) for L2, _ in new[idx + 1 :]) or any(divides(L2, L) for L2, _, _ in kept)
+            ):
+                kept.append((L, i, coprime))
+        pairs = [
+            p
+            for p in pairs
+            if not divides(lead, p[3]) or exp_max(basis[p[1]][0], lead) == p[3] or exp_max(basis[p[2]][0], lead) == p[3]
+        ]
+        pairs.extend((key(L), i, k, L) for L, i, coprime in kept if not coprime)
+        heapq.heapify(pairs)
+        live = [i for i in live if not divides(lead, basis[i][0])] + [k]
+        reducers = [basis[i] for i in live]
 
-    pairs: list = []
-    for k in range(1, len(basis)):
-        push_pairs(k)
+    for k in range(len(basis)):
+        update(k)
     processed = 0
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        _, i, j, _ = heapq.heappop(pairs)
         processed += 1
         if processed > s_pair_budget:
             raise ResourceError(f"S-pair budget of {s_pair_budget} exhausted")
-        ei, ej = basis[i][0], basis[j][0]
-        if exp_max(ei, ej) == exp_add(ei, ej):
-            continue  # coprime leading terms reduce to zero
-        r = reduce_full(s_polynomial(basis[i], basis[j]), basis, key)
+        r = reduce_full(s_polynomial(basis[i], basis[j]), reducers, key)
         if r:
             basis.append(_primitive(r, key))
-            push_pairs(len(basis) - 1)
+            update(len(basis) - 1)
 
-    # Inter-reduce to the unique reduced basis.
+    # Inter-reduce to the unique reduced basis.  No two live elements share
+    # a leading exponent: a new element retires any live one with its lead.
     kept = [
         (le, g)
-        for idx, (le, g) in enumerate(basis)
-        if not any(i2 != idx and divides(l2, le) and (l2 != le or i2 < idx) for i2, (l2, _) in enumerate(basis))
+        for idx, (le, g) in enumerate(reducers)
+        if not any(i2 != idx and divides(l2, le) for i2, (l2, _) in enumerate(reducers))
     ]
     reduced = [_primitive(reduce_full(g, kept[:idx] + kept[idx + 1 :], key), key) for idx, (_, g) in enumerate(kept)]
     reduced.sort(key=lambda t: key(t[0]))

@@ -44,6 +44,9 @@ def format_rational(x) -> str:
         raise digit_limit_error() from None
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(s, context: str = "value") -> Fraction:
     """A JSON int, or a string "p" or "p/q" of ASCII digits with an optional sign on p."""
     if isinstance(s, bool):
@@ -52,10 +55,11 @@ def parse_rational(s, context: str = "value") -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {type(s).__name__}", context)
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
+    if not _RATIONAL.fullmatch(s):
         raise ParseError(f"bad rational {s!r}: expected the form p or p/q", context)
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}", context) from None
 
@@ -105,7 +109,10 @@ def document_to_ideal(doc, context: str = "$") -> MonomialIdeal | PolyIdeal:
                 if coeff == 0:
                     raise ParseError("zero coefficients are not allowed", f"{tctx}.coeff")
                 exp = _expect_exponents(term["exp"], nvars, f"{tctx}.exp")
-                acc[exp] = acc.get(exp, Fraction(0)) + coeff
+                if exp in acc:
+                    acc[exp] += coeff
+                else:
+                    acc[exp] = coeff
             poly = RationalPolynomial(nvars, acc)
             if poly.is_zero:
                 raise ParseError("generator terms cancel to the zero polynomial", gctx)

@@ -24,7 +24,9 @@ order inside a degree only picks which monomials lead, not how many.  So
 the smallest certified N, a failure to certify, and the rank are the same
 under every order, and further orders need one truncation each, at that N.
 truncation_at runs every truncation; certify_truncation calls it for
-N = 2, 3, ... until one certifies.
+N = 2, 3, ... until one certifies.  truncation_at takes integer term maps,
+so the mu bound feeds it each sheared trial's maps directly: one
+truncation per distinct trial, at the N of the first search.
 
 Elimination is fraction-free: rows hold Python ints, each generator is
 scaled to integer coefficients once per ideal (PolyIdeal.integer_generators),
@@ -41,7 +43,7 @@ from math import gcd
 
 from .errors import FormatError, NotZeroDimensionalError
 from .ideals import Exponent, MonomialIdeal, monomials_of_degree
-from .polynomials import MonomialOrder, PolyIdeal, default_order
+from .polynomials import MonomialOrder, PolyIdeal, Terms, default_order
 
 
 class _Echelon:
@@ -88,9 +90,6 @@ def _key(e: Exponent, base: int) -> int:
     for x in reversed(e):
         k = k * base + x
     return k
-
-
-Terms = dict[Exponent, int]
 
 
 def _keyed_terms(gens: tuple[Terms, ...], base: int) -> list[list[tuple[int, int, int]]]:

@@ -4,7 +4,8 @@ RationalPolynomial is the validated type at the edges of the degeneration
 engine: the parser builds it, reports print it, and Buchberger returns its
 basis in it.  A polynomial is a finite map from exponent vectors to nonzero
 Fractions.  Inside, the engine works on primitive integer term maps
-dict[Exponent, int] (see RationalPolynomial.integer_terms).  Orders are
+dict[Exponent, int] (see RationalPolynomial.integer_terms), and the
+shears of the mu bound map them to term maps (substitute_linear).  Orders are
 total, multiplicative and global, so leading terms and Groebner reductions
 are well defined.
 """
@@ -14,16 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from numbers import Rational
 from typing import Literal
 
-from .errors import FormatError
+from .errors import FormatError, ResourceError
 from .ideals import Exponent, MonomialIdeal, _validate_exponent, exp_add
 
 
 def _validate_coefficient(c) -> Fraction:
-    """c as a Fraction; only ints and Fractions (not bools) are exact rationals here."""
+    """c as a Fraction; only ints and Fractions (not bools) are exact rationals
+    here.  A Fraction is returned as it is, not copied."""
+    if type(c) is Fraction:
+        return c
     if isinstance(c, bool) or not isinstance(c, Rational):
         raise FormatError(f"coefficient {c!r} is not an integer or a Fraction")
     return Fraction(c)
@@ -39,9 +43,11 @@ class RationalPolynomial:
         for e, c in self.terms.items():
             e = _validate_exponent(e, self.n)
             c = _validate_coefficient(c)
-            if c != 0:
-                clean[e] = clean.get(e, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+            if e in clean:
+                clean[e] += c
+            elif c:
+                clean[e] = c
+        self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
     def monomial(cls, n: int, exp: Exponent, coeff=1) -> RationalPolynomial:
@@ -69,8 +75,15 @@ class RationalPolynomial:
         return "RationalPolynomial(" + " + ".join(bits) + ")"
 
 
-def _mul(f: dict[Exponent, int], g: dict[Exponent, int]) -> dict[Exponent, int]:
-    out: dict[Exponent, int] = {}
+Terms = dict[Exponent, int]
+
+# substitute_linear refuses, before building it, a power of a linear form
+# with more terms than this.
+MAX_POWER_TERMS = 2_000
+
+
+def _mul(f: Terms, g: Terms) -> Terms:
+    out: Terms = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
             e = exp_add(e1, e2)
@@ -78,30 +91,58 @@ def _mul(f: dict[Exponent, int], g: dict[Exponent, int]) -> dict[Exponent, int]:
     return out
 
 
-def substitute_linear(f: RationalPolynomial, matrix) -> RationalPolynomial:
-    """Apply the change of coordinates x_i -> sum_k matrix[i][k] x_k.
+def _linear_power(image: list[tuple[int, int]], p: int, n: int) -> Terms:
+    """(sum of c x_k over the (k, c) of image)^p, p >= 1, by the multinomial
+    theorem: each term is built once, and a one-term image c x_k maps in one
+    step to c^p x_k^p.  With r terms the power has C(p + r - 1, r - 1)
+    terms, checked against MAX_POWER_TERMS before any is built; a single
+    coefficient other than 1 or -1 is charged as r = 2, since its power
+    grows with p."""
+    r = len(image)
+    if r == 0:
+        return {}
+    charged = r if r > 1 or abs(image[0][1]) == 1 else 2
+    size = comb(p + charged - 1, charged - 1)
+    if size > MAX_POWER_TERMS:
+        raise ResourceError(
+            f"a coordinate change would expand a power {p} of a linear form into {size} terms, "
+            f"more than the limit of {MAX_POWER_TERMS}"
+        )
+    out: Terms = {}
 
-    With an integer matrix the expansion runs over the integers, on the
-    numerators over a common denominator; the powers of each image are
-    computed once per call.
-    """
-    n = f.n
-    one = (0,) * n
-    images = [{tuple(int(k == j) for j in range(n)): m for k, m in enumerate(row) if m} for row in matrix]
-    powers = [[{one: 1}] for _ in range(n)]  # powers[i][p] is images[i] to the p
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    out: dict[Exponent, int] = {}
-    for e, c in f.terms.items():
-        term = {one: c.numerator * (den // c.denominator)}
+    def expand(i: int, left: int, e: list[int], coeff: int) -> None:
+        k, c = image[i]
+        if i == r - 1:
+            e[k] = left
+            out[tuple(e)] = coeff * c**left
+            e[k] = 0
+            return
+        for a in range(left + 1):
+            e[k] = a
+            expand(i + 1, left - a, e, coeff * comb(left, a) * c**a)
+        e[k] = 0
+
+    expand(0, p, [0] * n, 1)
+    return out
+
+
+def substitute_linear(f: Terms, matrix) -> Terms:
+    """Apply the change of coordinates x_i -> sum_k matrix[i][k] x_k to the
+    integer term map f; each power of an image is built once per call."""
+    n = len(matrix)
+    images = [[(k, m) for k, m in enumerate(row) if m] for row in matrix]
+    powers: list[dict[int, Terms]] = [{} for _ in range(n)]  # powers[i][p] is images[i] to the p
+    out: Terms = {}
+    for e, c in f.items():
+        term = {(0,) * n: c}
         for i, p in enumerate(e):
             if p:
-                cached = powers[i]
-                while len(cached) <= p:
-                    cached.append(_mul(cached[-1], images[i]))
-                term = _mul(term, cached[p])
+                if p not in powers[i]:
+                    powers[i][p] = _linear_power(images[i], p, n)
+                term = _mul(term, powers[i][p])
         for k, v in term.items():
             out[k] = out.get(k, 0) + v
-    return RationalPolynomial(n, {e: Fraction(v, den) for e, v in out.items() if v})
+    return {e: v for e, v in out.items() if v}
 
 
 @dataclass(frozen=True)

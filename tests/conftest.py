@@ -53,5 +53,6 @@ def random_origin_ideal(seed: int, n: int) -> PolyIdeal:
         for i in range(1, n):
             for j in range(i):
                 m[i][j] = rng.randint(-2, 2)
-        gens = [substitute_linear(g, m) for g in gens]
+        # every coefficient is an integer, so the integer shear is exact
+        gens = [RationalPolynomial(n, substitute_linear({e: c.numerator for e, c in g.terms.items()}, m)) for g in gens]
     return PolyIdeal(n, tuple(gens))

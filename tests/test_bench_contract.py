@@ -37,13 +37,51 @@ def test_bench_imports_resolve(name):
         assert _resolves(module, attr), f"{name} imports {module}.{attr}"
 
 
-def test_tracing_targets_resolve():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracing_targets_resolve():
+    tracing = _tracing()
     assert tracing.TARGETS
     for module, attr, _, _ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
     from staircase.polytope import NewtonPolytope
 
     assert isinstance(vars(NewtonPolytope).get("facets"), property)
+
+
+def test_tracing_hooks_read_real_results():
+    # each counter hook gets the arguments and the return value of a real
+    # call of the function it wraps, so a changed signature or result fails here
+    from staircase import MonomialIdeal, PolyIdeal, RationalPolynomial, default_order, initial_ideal
+    from staircase.degeneration import _base_trials
+    from staircase.macaulay import certify_truncation
+
+    tracing = _tracing()
+    J = MonomialIdeal(2, [(6, 0), (2, 1), (0, 2)])
+    I = PolyIdeal(2, (RationalPolynomial(2, {(6, 0): 1}), RationalPolynomial(2, {(0, 2): 1, (2, 1): 1})))
+    args = {
+        "colength": (J,),
+        "integral_closure": (J,),
+        "initial_ideal": (I, default_order("grevlex", 2)),
+        "certify_truncation": (I,),
+        "mu_upper_bound_details": (I,),
+    }
+    hooked = [(module, attr, after) for module, attr, _, after in tracing.TARGETS if after is not None]
+    assert sorted(attr for _, attr, _ in hooked) == sorted(args)
+    tracer = tracing.Tracer()
+    for module, attr, after in hooked:
+        after(tracer, args[attr], getattr(importlib.import_module(module), attr)(*args[attr]))
+    counters = dict(tracer.counters)
+    data = certify_truncation(I)
+    assert counters["macaulay.certify_N"] == [data.N, 1]
+    assert counters["macaulay.rank"] == [data.rank, 1]
+    assert counters["groebner.basis_gens"] == [len(initial_ideal(*args["initial_ideal"]).gens), 1]
+    trials = len(_base_trials(2)) + 8
+    assert counters["degeneration.trials"] == [trials, 1]
+    assert counters["degeneration.trials_certified"][1] == 1
+    assert 0 < counters["degeneration.trials_certified"][0] <= trials

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -32,6 +33,7 @@ from staircase import (
 )
 from staircase.degeneration import _base_trials, _shear_matrix, monomial_content_split, mu_upper_bound_details
 from staircase.groebner import buchberger, reduce_full
+from staircase.ideals import divides
 from staircase.macaulay import certify_truncation
 from staircase.polynomials import substitute_linear
 
@@ -177,6 +179,75 @@ class TestBuchberger:
             initial_ideal(I, MonomialOrder("grevlex"), s_pair_budget=0)
 
 
+PAIR_ORDERS = {
+    "grevlex": lambda n: default_order("grevlex", n),
+    "lex": lambda n: default_order("lex", n),
+    "weighted": lambda n: MonomialOrder("weighted", weights=(2, 1, 3)[:n]),
+}
+
+
+def translate(I: PolyIdeal, t: tuple[int, ...]) -> PolyIdeal:
+    """I under x -> x + t, an ideal supported at the points of I's zero set moved by -t."""
+    gens = []
+    for g in I.gens:
+        acc = {}
+        for e, c in g.terms.items():
+            for k in itertools.product(*(range(ei + 1) for ei in e)):
+                coeff = c * math.prod(math.comb(ei, ki) * ti ** (ei - ki) for ei, ki, ti in zip(e, k, t))
+                acc[k] = acc.get(k, 0) + coeff
+        gens.append(RationalPolynomial(I.n, acc))
+    return PolyIdeal(I.n, tuple(gens))
+
+
+origin_ideals = st.builds(random_origin_ideal, st.integers(0, 10**6), st.integers(2, 3))
+off_origin_ideals = st.builds(
+    lambda I, t: translate(I, t[: I.n]), origin_ideals, st.tuples(*[st.sampled_from([-1, 1, 2])] * 3)
+)
+
+
+class TestPairCriteria:
+    """The Gebauer-Moeller criteria keep the basis a Groebner basis; the
+    checks below need no second implementation."""
+
+    @given(
+        ideal=st.one_of(origin_ideals, off_origin_ideals),
+        kind=st.sampled_from(sorted(PAIR_ORDERS)),
+    )
+    def test_basis_is_reduced_and_closed_under_s_polynomials(self, ideal, kind):
+        from staircase.groebner import s_polynomial
+
+        order = PAIR_ORDERS[kind](ideal.n)
+        gb = buchberger(list(ideal.gens), order)
+        leads = [max(g.terms, key=order.key) for g in gb]
+        for g, le in zip(gb, leads):
+            assert g.terms[le] == 1
+            assert not any(divides(l2, e) for l2 in leads if l2 != le for e in g.terms)
+        basis = [(le, g.integer_terms()) for g, le in zip(gb, leads)]
+        for f in ideal.integer_generators:
+            assert reduce_full(f, basis, order.key) == {}
+        for i in range(len(basis)):
+            for j in range(i):
+                assert reduce_full(s_polynomial(basis[i], basis[j]), basis, order.key) == {}
+
+    def test_criteria_form_fewer_s_polynomials(self, monkeypatch):
+        # the twelve origin ideals formed 97 S-polynomials when only pairs with
+        # coprime leading terms were skipped
+        from staircase import groebner
+
+        calls = []
+        real = groebner.s_polynomial
+
+        def counted(f, g):
+            calls.append((f[0], g[0]))
+            return real(f, g)
+
+        monkeypatch.setattr(groebner, "s_polynomial", counted)
+        for i in range(12):
+            I = random_origin_ideal(mix(4242, i), 2 if i % 2 == 0 else 3)
+            buchberger(list(I.gens), default_order("grevlex", I.n))
+        assert len(calls) == 42
+
+
 def sympy_matches(sp, I, kind):
     """buchberger agrees with sympy's reduced basis of I, both made monic."""
     n = I.n
@@ -267,10 +338,12 @@ class TestIntegerCore:
         point=st.tuples(*[st.integers(-4, 4)] * 3),
     )
     def test_substitute_linear_evaluates(self, coeffs, exps, m, point):
-        f = P(3, *((F(c, 3), e) for c, e in zip(coeffs, exps)))
+        f: dict = {}
+        for c, e in zip(coeffs, exps):
+            f[e] = f.get(e, 0) + c
 
         def value(g, x):
-            return sum(c * math.prod(xi**ei for xi, ei in zip(x, e)) for e, c in g.terms.items())
+            return sum(c * math.prod(xi**ei for xi, ei in zip(x, e)) for e, c in g.items())
 
         image = [sum(m[i][k] * point[k] for k in range(3)) for i in range(3)]
         assert value(substitute_linear(f, m), point) == value(f, image)
@@ -583,7 +656,7 @@ def _details_oracle(I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = 
     rng = random.Random(seed)
     for t in range(trials):
         m = _shear_matrix(rng, I.n)
-        sheared = PolyIdeal(I.n, tuple(substitute_linear(g, m) for g in I.gens))
+        sheared = PolyIdeal(I.n, tuple(RationalPolynomial(I.n, substitute_linear(g, m)) for g in I.integer_generators))
         out.append((f"shear[{t}] rows={m}", mu(sheared, default_order("grevlex", I.n))))
     return out
 
@@ -618,8 +691,22 @@ class TestShearsShareTheSearch:
         N = certify_truncation(BOUNDARY_PRIMITIVE).N
         calls = _count_truncations(monkeypatch)
         mu_upper_bound_details(BOUNDARY_IDEAL, trials=8)
-        assert calls == list(range(2, N + 1)) + [N] * (len(_base_trials(2)) - 1 + 8)
-        assert len(calls) == 17
+        # seed 0 draws the shear entries 3, 0, 3, 0, -3, -1, 1, 0: three
+        # identities, which repeat the grevlex base order, and four distinct shears
+        assert calls == list(range(2, N + 1)) + [N] * (len(_base_trials(2)) - 1 + 4)
+        assert len(calls) == 13
+
+    def test_repeated_shears_run_once(self, monkeypatch):
+        # seed 1 draws the shear entries -2, 1, 3, 3, 3, -3, -1, -3: five distinct shears
+        I = random_origin_ideal(mix(4242, 2), 2)
+        N = certify_truncation(I).N
+        rng = random.Random(1)
+        distinct = {str(_shear_matrix(rng, 2)) for _ in range(8)}
+        calls = _count_truncations(monkeypatch)
+        details = mu_upper_bound_details(I, seed=1)
+        assert len(distinct) == 5
+        assert calls == list(range(2, N + 1)) + [N] * (len(_base_trials(2)) - 1 + len(distinct))
+        assert details == _details_oracle(I, seed=1)
 
     def test_base_failure_runs_no_shear_truncation(self, monkeypatch):
         calls = _count_truncations(monkeypatch)
@@ -631,7 +718,8 @@ class TestShearsShareTheSearch:
         # (x1 + x2) (x1, x2^2) under x2 -> x2 - x1 becomes x2 (x1, (x2 - x1)^2):
         # the sheared content-free part is no longer inside the image of P
         m = [[1, 0], [-1, 1]]
-        _, part = monomial_content_split(PolyIdeal(2, tuple(substitute_linear(g, m) for g in NON_MONOMIAL_FACTOR.gens)))
+        sheared = tuple(RationalPolynomial(2, substitute_linear(g, m)) for g in NON_MONOMIAL_FACTOR.integer_generators)
+        _, part = monomial_content_split(PolyIdeal(2, sheared))
         N = certify_truncation(part).N
         calls = _count_truncations(monkeypatch)
         details = mu_upper_bound_details(NON_MONOMIAL_FACTOR, trials=8, budget=8)

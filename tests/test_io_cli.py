@@ -375,6 +375,31 @@ class TestCliProcess:
         code, out, err = run_cli(capsys, "closure", "--input", str(path))
         assert code == 2 and out == "" and "budget" in err
 
+    def test_mu_bound_on_a_huge_one_variable_exponent(self, tmp_path):
+        # x^a + x^(a-1) = x^(a-1) (x + 1): the identity shears repeat the grevlex
+        # base order, so nothing is expanded to the power a
+        a = 9 * 10**4299
+        terms = [{"coeff": "1", "exp": [a]}, {"coeff": "1", "exp": [a - 1]}]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"vars": 1, "kind": "polynomial", "generators": [terms]}))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "staircase", "mu-bound", "--input", str(path)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["reports"][0]["mu_upper_bound"] == str(a - 1)
+
+    def test_mu_bound_refuses_a_huge_shear(self, capsys, tmp_path):
+        # a shear x2 -> x2 + c x1 would expand x2^(10^6) into 10^6 + 1 terms
+        gens = [[{"coeff": "1", "exp": [2, 0]}], [{"coeff": "1", "exp": [0, 10**6]}]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"vars": 2, "kind": "polynomial", "generators": gens}))
+        code, out, err = run_cli(capsys, "mu-bound", "--input", str(path))
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("staircase mu-bound: ") and "more than the limit" in err
+
     @pytest.mark.parametrize("case", ["long exponent", "deep nesting", "long colength"])
     def test_python_limits_exit_2(self, capsys, tmp_path, case):
         # json.loads and int-to-text conversion stop at sys.get_int_max_str_digits()
