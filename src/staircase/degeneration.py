@@ -3,14 +3,15 @@
 The pipeline deforms an ideal to the initial ideal of its tangent cone at
 the origin; colength is preserved and the diagonal entry value mu can only
 grow, so the monomial side yields certified upper bounds for mu of the
-original ideal.  A common monomial factor is split off first and carried
-through the degeneration unchanged, which is what makes ideals like
-x2^2 * (zero-dimensional part) tractable.
+original ideal.  A common monomial factor is split off first, once per call
+on the integer term maps of the generators, and carried through the
+degeneration unchanged, which is what makes ideals like x2^2 * (zero-dimensional
+part) tractable.  The truncations take those maps: nothing here builds a
+RationalPolynomial.
 
 The mu bound runs a family of trials, each an order and a shear.  Shears
-act on integer term maps (polynomials.substitute_linear), not on
-RationalPolynomial, and each distinct trial runs once per call; see
-mu_upper_bound_details.
+act on integer term maps too (polynomials.substitute_linear), and each
+distinct trial runs once per call; see mu_upper_bound_details.
 """
 
 from __future__ import annotations
@@ -20,20 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, NotZeroDimensionalError
-from .ideals import MonomialIdeal, colength, exp_min, exp_sub, shift_ideal
+from .ideals import Exponent, MonomialIdeal, colength, exp_min, exp_sub, shift_ideal
 from .macaulay import TruncationData, certify_truncation, initial_ideal_pivots, truncation_at
-from .polynomials import (
-    MonomialOrder,
-    PolyIdeal,
-    RationalPolynomial,
-    default_order,
-    substitute_linear,
-)
+from .polynomials import MonomialOrder, PolyIdeal, Terms, default_order, substitute_linear
 
 
-def _split_content(gens: tuple[dict, ...]) -> tuple[tuple[int, ...], tuple[dict, ...]]:
-    """Largest x^c dividing every term map of gens (any coefficients), and
-    the maps over x^c (gens itself when c = 0)."""
+def _split_content(gens: tuple[Terms, ...]) -> tuple[Exponent, tuple[Terms, ...]]:
+    """Largest x^c dividing every term map of gens, and the maps over x^c
+    (gens itself when c = 0).  A non-monomial common factor stays in the
+    quotient, whose certification then fails downstream."""
     content = None
     for g in gens:
         for e in g:
@@ -42,19 +38,6 @@ def _split_content(gens: tuple[dict, ...]) -> tuple[tuple[int, ...], tuple[dict,
     if not any(content):
         return content, gens
     return content, tuple({exp_sub(e, content): c for e, c in g.items()} for g in gens)
-
-
-def monomial_content_split(I: PolyIdeal) -> tuple[tuple[int, ...], PolyIdeal]:
-    """Largest monomial x^c dividing every generator, and the quotient ideal.
-
-    Only the monomial part of a common factor is extracted; a non-monomial
-    common factor leaves the quotient non-zero-dimensional and is reported
-    as such downstream.
-    """
-    content, shifted = _split_content(tuple(g.terms for g in I.gens))
-    if not any(content):
-        return content, I
-    return content, PolyIdeal(I.n, tuple(RationalPolynomial(I.n, g) for g in shifted))
 
 
 @dataclass(frozen=True)
@@ -114,10 +97,8 @@ def tangent_cone(I: PolyIdeal, order: MonomialOrder | None = None, budget: int =
     Raises NotZeroDimensionalError when no maximal-ideal power can be
     certified inside the content-free part within the budget.
     """
-    if order is None:
-        order = default_order("grevlex", I.n)
-    content, primitive = monomial_content_split(I)
-    return _cone(I.n, content, certify_truncation(primitive, order, budget))
+    content, part = _split_content(I.integer_generators)
+    return _cone(I.n, content, certify_truncation(I.n, part, order or default_order("grevlex", I.n), budget))
 
 
 def tangent_cone_initial(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> MonomialIdeal:
@@ -137,8 +118,10 @@ def initial_ideal_truncated(I: PolyIdeal, order: MonomialOrder, budget: int = 24
 def check_length_preservation(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> LengthCheck:
     """TangentCone.length_check of I.  A monomial factor in n >= 2 variables
     raises NotZeroDimensionalError before any truncation runs."""
-    _require_finite_length(I.n, monomial_content_split(I)[0])
-    return tangent_cone(I, order, budget).length_check()
+    content, part = _split_content(I.integer_generators)
+    _require_finite_length(I.n, content)
+    data = certify_truncation(I.n, part, order or default_order("grevlex", I.n), budget)
+    return _cone(I.n, content, data).length_check()
 
 
 def _shear_matrix(rng: random.Random, n: int) -> list[list[int]]:
@@ -233,10 +216,10 @@ def mu_upper_bound_details(
     for t in range(trials):
         m = _shear_matrix(rng, I.n)
         runs.append((f"shear[{t}] rows={m}", grevlex, None if _is_identity(m) else tuple(map(tuple, m))))
-    content, primitive = monomial_content_split(I)
+    content, primitive = _split_content(I.integer_generators)
     searched = (runs[0][1], None)  # the first base order, whose N is searched
     try:
-        first = certify_truncation(primitive, searched[0], budget)
+        first = certify_truncation(I.n, primitive, searched[0], budget)
     except NotZeroDimensionalError:
         first = None
     mus: dict[tuple[MonomialOrder, tuple | None], Fraction | None] = {}
@@ -245,7 +228,7 @@ def mu_upper_bound_details(
         trial = (order, rows)
         if trial not in mus:
             if rows is None:
-                part_content, part, image = content, primitive.integer_generators, content
+                part_content, part, image = content, primitive, content
             else:
                 part_content, part = _split_content(tuple(substitute_linear(g, rows) for g in I.integer_generators))
                 image = _image_content(rows, content)
@@ -260,9 +243,8 @@ def mu_upper_bound_details(
             elif part_content == image:
                 data = None
             else:
-                sheared = PolyIdeal(I.n, tuple(RationalPolynomial(I.n, g) for g in part))
                 try:
-                    data = certify_truncation(sheared, order, budget)
+                    data = certify_truncation(I.n, part, order, budget)
                 except NotZeroDimensionalError:
                     data = None
             certified = data is not None and data.certified

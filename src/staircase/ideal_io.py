@@ -23,8 +23,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParseError, ResourceError
-from .ideals import MonomialIdeal
+from .errors import FormatError, ParseError, ResourceError
+from .ideals import MonomialIdeal, _validate_exponent
 from .polynomials import PolyIdeal, RationalPolynomial
 
 
@@ -67,16 +67,10 @@ def parse_rational(s, context: str = "value") -> Fraction:
 def _expect_exponents(raw, nvars: int, context: str) -> tuple[int, ...]:
     if not isinstance(raw, list):
         raise ParseError("exponent vector must be a list", context)
-    if len(raw) != nvars:
-        raise ParseError(f"exponent vector has {len(raw)} entries, expected {nvars}", context)
-    out = []
-    for i, v in enumerate(raw):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ParseError(f"exponent must be an integer, got {v!r}", f"{context}[{i}]")
-        if v < 0:
-            raise ParseError(f"exponent must be nonnegative, got {v}", f"{context}[{i}]")
-        out.append(v)
-    return tuple(out)
+    try:
+        return _validate_exponent(raw, nvars)
+    except FormatError as exc:
+        raise ParseError(str(exc), context) from None
 
 
 def document_to_ideal(doc, context: str = "$") -> MonomialIdeal | PolyIdeal:

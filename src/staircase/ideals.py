@@ -47,7 +47,10 @@ def degree(a: Exponent) -> int:
 
 
 def _validate_exponent(e, n: int) -> Exponent:
-    t = tuple(e)
+    try:
+        t = tuple(e)
+    except TypeError:
+        raise FormatError(f"exponent {e!r} is not a sequence of integers") from None
     if len(t) != n:
         raise FormatError(f"exponent {t} has length {len(t)}, expected {n}")
     out = []
@@ -59,7 +62,7 @@ def _validate_exponent(e, n: int) -> Exponent:
         if v is None or isinstance(c, bool):
             raise FormatError(f"exponent {t} has a non-integer entry {c!r}")
         if v < 0:
-            raise FormatError(f"exponent {t} has a negative entry")
+            raise FormatError(f"exponent {t} has a negative entry; entries must be nonnegative")
         out.append(v)
     return tuple(out)
 

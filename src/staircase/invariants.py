@@ -30,7 +30,6 @@ from .ideals import (
     integral_closure,
     is_power_of_maximal,
     is_zero_dimensional,
-    shift_ideal,
 )
 from .polytope import compute_mu, covolume
 
@@ -190,9 +189,10 @@ class Codim2Report:
         return tuple(bad)
 
 
-def _boundary_closure_holds(I: MonomialIdeal, b_vec: tuple[int, int], mu: Fraction) -> bool:
-    """Check closure(I) = x^b * closure((x1^(2mu-2b1), x2^(2mu-2b2))) in the
-    equality case; also requires 2 mu to be an integer."""
+def _boundary_closure_holds(primitive: MonomialIdeal, b_vec: tuple[int, int], mu: Fraction) -> bool:
+    """Check closure(I) = x^b * closure((x1^(2mu-2b1), x2^(2mu-2b2))) for
+    I = x^b * primitive in the equality case, as closure(primitive) = the
+    corner's closure (x^b translates a closure); 2 mu must be an integer."""
     two_mu = 2 * mu
     if two_mu.denominator != 1:
         return False
@@ -200,8 +200,7 @@ def _boundary_closure_holds(I: MonomialIdeal, b_vec: tuple[int, int], mu: Fracti
     if any(ki < 0 for ki in k):
         return False
     corner = MonomialIdeal(2, ((k[0], 0), (0, k[1])))
-    expected = shift_ideal(integral_closure(corner), b_vec)
-    return expected == integral_closure(I)
+    return integral_closure(corner) == integral_closure(primitive)
 
 
 def verify_codim2(I: MonomialIdeal, *, fatal: bool = True) -> Codim2Report:
@@ -218,7 +217,7 @@ def verify_codim2(I: MonomialIdeal, *, fatal: bool = True) -> Codim2Report:
     sharp_lhs = 4 * mu * mult_f - Fraction(4 * b1 * b2) + e_prim
     rhs = 4 * mu**2
     sharp_eq = sharp_lhs == rhs
-    boundary = _boundary_closure_holds(I, b_vec, mu) if sharp_eq else None
+    boundary = _boundary_closure_holds(fac.primitive, b_vec, mu) if sharp_eq else None
     report = Codim2Report(
         ideal=I,
         b1=b1,

@@ -24,9 +24,9 @@ order inside a degree only picks which monomials lead, not how many.  So
 the smallest certified N, a failure to certify, and the rank are the same
 under every order, and further orders need one truncation each, at that N.
 truncation_at runs every truncation; certify_truncation calls it for
-N = 2, 3, ... until one certifies.  truncation_at takes integer term maps,
-so the mu bound feeds it each sheared trial's maps directly: one
-truncation per distinct trial, at the N of the first search.
+N = 2, 3, ... until one certifies.  Both take integer term maps, which the
+degeneration passes on as it split them: one truncation per distinct
+mu-bound trial, at the N of the first search.
 
 Elimination is fraction-free: rows hold Python ints, each generator is
 scaled to integer coefficients once per ideal (PolyIdeal.integer_generators),
@@ -43,7 +43,7 @@ from math import gcd
 
 from .errors import FormatError, NotZeroDimensionalError
 from .ideals import Exponent, MonomialIdeal, monomials_of_degree
-from .polynomials import MonomialOrder, PolyIdeal, Terms, default_order
+from .polynomials import MonomialOrder, PolyIdeal, Terms
 
 
 class _Echelon:
@@ -154,18 +154,16 @@ def truncation_at(n: int, gens: tuple[Terms, ...], N: int, order: MonomialOrder)
     )
 
 
-def certify_truncation(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> TruncationData:
-    """Find the smallest N <= budget with every degree-N monomial a pivot.
+def certify_truncation(n: int, gens: tuple[Terms, ...], order: MonomialOrder, budget: int = 24) -> TruncationData:
+    """Find the smallest N <= budget with every degree-N monomial a pivot,
+    for the ideal in n variables generated by the integer term maps gens.
 
     That coverage certifies m^N lies in the ideal locally at the origin,
     which is exactly the zero-dimensionality needed by the degeneration
     pipeline.  Raises NotZeroDimensionalError when the budget runs out.
     """
-    if order is None:
-        order = default_order("grevlex", I.n)
-    gens = I.integer_generators
     for N in range(2, budget + 1):
-        data = truncation_at(I.n, gens, N, order)
+        data = truncation_at(n, gens, N, order)
         if data.certified:
             return data
     raise NotZeroDimensionalError(
@@ -183,7 +181,7 @@ def initial_ideal_pivots(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -
     """
     if not order.is_degree_compatible(I.n):
         raise FormatError("the truncated initial-ideal oracle needs a degree-compatible order")
-    N = certify_truncation(I, order, budget).N
+    N = certify_truncation(I.n, I.integer_generators, order, budget).N
     cols = sorted((e for d in range(N + 1) for e in monomials_of_degree(I.n, d)), key=order.key, reverse=True)
     ech = _eliminate(I.integer_generators, N, cols)
     return MonomialIdeal(I.n, tuple(cols[j] for j in ech.pivots))

@@ -78,7 +78,7 @@ class RationalPolynomial:
 Terms = dict[Exponent, int]
 
 # substitute_linear refuses, before building it, a power of a linear form
-# with more terms than this.
+# with more terms than this, or a product of such powers that may have more.
 MAX_POWER_TERMS = 2_000
 
 
@@ -128,17 +128,27 @@ def _linear_power(image: list[tuple[int, int]], p: int, n: int) -> Terms:
 
 def substitute_linear(f: Terms, matrix) -> Terms:
     """Apply the change of coordinates x_i -> sum_k matrix[i][k] x_k to the
-    integer term map f; each power of an image is built once per call."""
+    integer term map f; each power of an image is built once per call.  Each
+    product of powers is charged, before it is built, the lesser of the
+    product of the factors' term counts and the number of monomials of its
+    degree, against MAX_POWER_TERMS."""
     n = len(matrix)
     images = [[(k, m) for k, m in enumerate(row) if m] for row in matrix]
     powers: list[dict[int, Terms]] = [{} for _ in range(n)]  # powers[i][p] is images[i] to the p
     out: Terms = {}
     for e, c in f.items():
-        term = {(0,) * n: c}
+        term, d = {(0,) * n: c}, 0
         for i, p in enumerate(e):
             if p:
                 if p not in powers[i]:
                     powers[i][p] = _linear_power(images[i], p, n)
+                d += p
+                size = min(len(term) * len(powers[i][p]), comb(d + n - 1, n - 1))
+                if size > MAX_POWER_TERMS:
+                    raise ResourceError(
+                        f"a coordinate change would expand a term into up to {size} terms, "
+                        f"more than the limit of {MAX_POWER_TERMS}"
+                    )
                 term = _mul(term, powers[i][p])
         for k, v in term.items():
             out[k] = out.get(k, 0) + v

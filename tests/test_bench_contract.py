@@ -68,7 +68,7 @@ def test_tracing_hooks_read_real_results():
         "colength": (J,),
         "integral_closure": (J,),
         "initial_ideal": (I, default_order("grevlex", 2)),
-        "certify_truncation": (I,),
+        "certify_truncation": (2, I.integer_generators, default_order("grevlex", 2)),
         "mu_upper_bound_details": (I,),
     }
     hooked = [(module, attr, after) for module, attr, _, after in tracing.TARGETS if after is not None]
@@ -77,7 +77,7 @@ def test_tracing_hooks_read_real_results():
     for module, attr, after in hooked:
         after(tracer, args[attr], getattr(importlib.import_module(module), attr)(*args[attr]))
     counters = dict(tracer.counters)
-    data = certify_truncation(I)
+    data = certify_truncation(*args["certify_truncation"])
     assert counters["macaulay.certify_N"] == [data.N, 1]
     assert counters["macaulay.rank"] == [data.rank, 1]
     assert counters["groebner.basis_gens"] == [len(initial_ideal(*args["initial_ideal"]).gens), 1]
@@ -85,3 +85,44 @@ def test_tracing_hooks_read_real_results():
     assert counters["degeneration.trials"] == [trials, 1]
     assert counters["degeneration.trials_certified"][1] == 1
     assert 0 < counters["degeneration.trials_certified"][0] <= trials
+
+
+# sha256 of the per-document stdout digests of each workload's seed-1 corpus,
+# as bench/worker.py prints it on its "digest:" line
+PINNED_WORKLOAD_DIGESTS = {
+    "suites": "5ecb2944947e67bceda8e5a4a9c96ad750efb8509a83c907751a999113057dcf",
+    "high_dim": "c5dd9882bbcafe8108539ce8a6fce96359b3e9c974d565569c117c8d3b806461",
+    "deep_boxes": "a4bfa5a45dc3008ad6c1affc77dcc924810141c25394236093d008489d5c9782",
+    "degeneration": "307d242f6f7e1cb74843a893b68c1eac9298cfea4c4ac8a2bca3fe529206ff76",
+}
+
+
+@pytest.mark.parametrize("workload", list(PINNED_WORKLOAD_DIGESTS))
+def test_workload_digests_pinned(monkeypatch, tmp_path, workload):
+    # the worker's op, in-process: the same document paths (relative to the
+    # checkout, here tmp_path), an empty polytope cache, stdout captured
+    import contextlib
+    import hashlib
+    import io
+    import json
+    import sys
+
+    from staircase import cli, polytope
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    monkeypatch.chdir(tmp_path)
+    directory = Path(".bench_work") / f"{workload}-1"
+    directory.mkdir(parents=True)
+    digests = []
+    for i, op in enumerate(workloads.WORKLOADS[workload](1)):
+        path = f"{directory}/{i:03d}.json"
+        Path(path).write_text(json.dumps(op.doc), encoding="utf-8")
+        polytope.build_polytope.cache_clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            cli.main([op.command, "--input", path])
+        digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == PINNED_WORKLOAD_DIGESTS[workload]

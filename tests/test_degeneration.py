@@ -31,7 +31,7 @@ from staircase import (
     mu_upper_bound,
     tangent_cone_initial,
 )
-from staircase.degeneration import _base_trials, _shear_matrix, monomial_content_split, mu_upper_bound_details
+from staircase.degeneration import _base_trials, _shear_matrix, _split_content, mu_upper_bound_details
 from staircase.groebner import buchberger, reduce_full
 from staircase.ideals import divides
 from staircase.macaulay import certify_truncation
@@ -327,7 +327,7 @@ class TestIntegerCore:
 
         monkeypatch.setattr(RationalPolynomial, "integer_terms", counted)
         truncations = _count_truncations(monkeypatch)
-        certify_truncation(I)
+        certify_truncation(I.n, I.integer_generators, default_order("grevlex", I.n))
         assert len(truncations) > 1  # several N were tried
         assert len(calls) == len(I.gens)
 
@@ -378,6 +378,24 @@ class TestIntegerCore:
         J = initial_ideal(I, default_order("grevlex", 3))
         assert len(built) == len(J.gens) > 1
 
+    def test_product_of_powers_is_charged_before_it_is_built(self):
+        # x2^1999 and x3^61 map to powers of 2,000 and 1,953 terms, each within
+        # the limit; their product of degree 2,060 is refused before it is built
+        import time
+
+        from staircase import ResourceError
+
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="expand a term"):
+            substitute_linear({(0, 1999, 61): 1}, [[1, 0, 0], [3, 1, 0], [-3, 2, 1]])
+        assert time.perf_counter() - start < 1
+
+    def test_product_charge_is_capped_by_the_monomials_of_its_degree(self):
+        # (x1 + x2)^40 (x1 - x2)^60 has 41 * 61 = 2,501 term products but at
+        # most 101 monomials of degree 100, so it is built
+        f = substitute_linear({(40, 60): 1}, [[1, 1], [1, -1]])
+        assert len(f) <= 101 and f[(100, 0)] == 1
+
     def test_priority_checked_at_construction(self):
         from staircase import FormatError
 
@@ -391,9 +409,9 @@ class TestTangentCone:
         assert tangent_cone_initial(BOUNDARY_IDEAL) == MonomialIdeal(2, [(6, 2), (0, 4)])
 
     def test_content_split(self):
-        content, prim = monomial_content_split(BOUNDARY_IDEAL)
+        content, prim = _split_content(BOUNDARY_IDEAL.integer_generators)
         assert content == (0, 2)
-        assert {tuple(sorted(g.terms)) for g in prim.gens} == {((6, 0),), ((0, 2), (2, 1))}
+        assert {tuple(sorted(g)) for g in prim} == {((6, 0),), ((0, 2), (2, 1))}
 
     def test_homogeneous_equals_initial(self):
         I = PolyIdeal(2, (P(2, (1, (2, 0)), (1, (1, 1))), P(2, (1, (0, 3)))))
@@ -447,7 +465,7 @@ class TestLengthPreservation:
         assert check.l_orig == 3 == check.l_initial
 
     def test_truncated_length_alone(self):
-        assert certify_truncation(BOUNDARY_PRIMITIVE).local_length == 12
+        assert certify_truncation(2, BOUNDARY_PRIMITIVE.integer_generators, default_order("grevlex", 2)).local_length == 12
 
 
 class TestOracleEquivalence:
@@ -580,7 +598,7 @@ class TestCertifyOnce:
             I = random_origin_ideal(mix(4242, i), n)
             found = {
                 (data.N, data.rank)
-                for data in (certify_truncation(I, order) for _, order in _base_trials(n))
+                for data in (certify_truncation(n, I.integer_generators, order) for _, order in _base_trials(n))
             }
             assert len(found) == 1
 
@@ -590,7 +608,7 @@ class TestCertifyOnce:
         from staircase.macaulay import certify_truncation
 
         I = random_origin_ideal(mix(515, 3), 3)
-        N = certify_truncation(I).N
+        N = certify_truncation(I.n, I.integer_generators, default_order("grevlex", I.n)).N
         path = tmp_path / "ideal.json"
         path.write_text(json.dumps(ideal_to_document(I)))
         calls = _count_truncations(monkeypatch)
@@ -604,7 +622,7 @@ class TestCertifyOnce:
         from staircase.ideal_io import ideal_to_document
         from staircase.macaulay import certify_truncation
 
-        N = certify_truncation(BOUNDARY_PRIMITIVE).N
+        N = certify_truncation(2, BOUNDARY_PRIMITIVE.integer_generators, default_order("grevlex", 2)).N
         path = tmp_path / "worked.json"
         path.write_text(json.dumps(ideal_to_document(BOUNDARY_IDEAL)))
         calls = _count_truncations(monkeypatch)
@@ -672,6 +690,35 @@ def _x1_squared_times(I: PolyIdeal) -> PolyIdeal:
     ))
 
 
+def _count_polynomials(monkeypatch) -> list[RationalPolynomial]:
+    built: list[RationalPolynomial] = []
+    real = RationalPolynomial.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(RationalPolynomial, "__post_init__", counted)
+    return built
+
+
+class TestContentSplitBuildsNoPolynomial:
+    # the content is split on the integer term maps and the truncations take
+    # them as they are, so degenerating a parsed ideal builds no polynomial
+    def test_tangent_cone(self, monkeypatch):
+        built = _count_polynomials(monkeypatch)
+        assert tangent_cone_initial(BOUNDARY_IDEAL) == MonomialIdeal(2, [(6, 2), (0, 4)])
+        assert built == []
+
+    @pytest.mark.parametrize("I,budget", [(BOUNDARY_IDEAL, 24), (NON_MONOMIAL_FACTOR, 8)], ids=["worked", "non_monomial"])
+    def test_mu_bound(self, monkeypatch, I, budget):
+        built = _count_polynomials(monkeypatch)
+        details = mu_upper_bound_details(I, budget=budget)
+        assert built == []
+        # some trial certified; on NON_MONOMIAL_FACTOR only a shear that searched its own N does
+        assert any(mu is not None for _, mu in details)
+
+
 class TestShearsShareTheSearch:
     def test_details_match_per_trial_search(self):
         cases = [(random_origin_ideal(mix(4242, i), 2 if i % 2 == 0 else 3), i, 24) for i in range(12)]
@@ -688,7 +735,7 @@ class TestShearsShareTheSearch:
         assert None in shears and 3 in shears
 
     def test_worked_ideal_runs_one_truncation_per_shear(self, monkeypatch):
-        N = certify_truncation(BOUNDARY_PRIMITIVE).N
+        N = certify_truncation(2, BOUNDARY_PRIMITIVE.integer_generators, default_order("grevlex", 2)).N
         calls = _count_truncations(monkeypatch)
         mu_upper_bound_details(BOUNDARY_IDEAL, trials=8)
         # seed 0 draws the shear entries 3, 0, 3, 0, -3, -1, 1, 0: three
@@ -699,7 +746,7 @@ class TestShearsShareTheSearch:
     def test_repeated_shears_run_once(self, monkeypatch):
         # seed 1 draws the shear entries -2, 1, 3, 3, 3, -3, -1, -3: five distinct shears
         I = random_origin_ideal(mix(4242, 2), 2)
-        N = certify_truncation(I).N
+        N = certify_truncation(I.n, I.integer_generators, default_order("grevlex", I.n)).N
         rng = random.Random(1)
         distinct = {str(_shear_matrix(rng, 2)) for _ in range(8)}
         calls = _count_truncations(monkeypatch)
@@ -718,9 +765,8 @@ class TestShearsShareTheSearch:
         # (x1 + x2) (x1, x2^2) under x2 -> x2 - x1 becomes x2 (x1, (x2 - x1)^2):
         # the sheared content-free part is no longer inside the image of P
         m = [[1, 0], [-1, 1]]
-        sheared = tuple(RationalPolynomial(2, substitute_linear(g, m)) for g in NON_MONOMIAL_FACTOR.integer_generators)
-        _, part = monomial_content_split(PolyIdeal(2, sheared))
-        N = certify_truncation(part).N
+        _, part = _split_content(tuple(substitute_linear(g, m) for g in NON_MONOMIAL_FACTOR.integer_generators))
+        N = certify_truncation(2, part, default_order("grevlex", 2)).N
         calls = _count_truncations(monkeypatch)
         details = mu_upper_bound_details(NON_MONOMIAL_FACTOR, trials=8, budget=8)
         assert details[4 + 5] == (f"shear[5] rows={m}", 1)

@@ -20,7 +20,8 @@ from staircase import (
     verify_codim2,
     verify_zero_dim,
 )
-from staircase.invariants import codim2_corpus, zero_dim_corpus
+from staircase.ideals import factor_out_gcd, shift_ideal
+from staircase.invariants import _boundary_closure_holds, codim2_corpus, zero_dim_corpus
 
 F = Fraction
 J62 = MonomialIdeal(2, [(6, 0), (0, 2)])
@@ -216,6 +217,35 @@ class TestCorpora:
             if (r.b1, r.b2) != (0, 0):
                 seen_gcd += 1
         assert seen_gcd > 30  # corpus really exercises nontrivial monomial factors
+
+
+def _shifted_closure_oracle(I: MonomialIdeal, b_vec, mu) -> bool:
+    """The boundary formula as the paper states it, on I itself:
+    closure(I) = x^b * closure((x1^(2mu-2b1), x2^(2mu-2b2)))."""
+    two_mu = 2 * mu
+    if two_mu.denominator != 1:
+        return False
+    k = tuple(int(two_mu) - 2 * bi for bi in b_vec)
+    if any(ki < 0 for ki in k):
+        return False
+    corner = MonomialIdeal(2, ((k[0], 0), (0, k[1])))
+    return shift_ideal(integral_closure(corner), b_vec) == integral_closure(I)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_boundary_closure_on_the_primitive_part_matches_the_shifted_oracle(seed):
+    outcomes = {True: 0, False: 0}
+    equality = 0
+    for J in codim2_corpus(seed=seed, count=1000):
+        r = verify_codim2(J)
+        expected = _shifted_closure_oracle(J, r.b_vector, r.mu)
+        # the check itself, on every ideal, whether or not the bound is sharp
+        assert _boundary_closure_holds(factor_out_gcd(J).primitive, r.b_vector, r.mu) == expected
+        outcomes[expected] += 1
+        if r.sharp_equality:
+            equality += 1
+            assert r.boundary_closure_ok is expected is True
+    assert equality > 50 and min(outcomes.values()) > 50
 
 
 class TestRandomIdeal:

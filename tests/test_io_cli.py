@@ -86,6 +86,28 @@ class TestFormat:
             parse_ideal_text(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "exp,fragment",
+        [(5, "must be a list"), ([1.0, 0], "non-integer entry 1.0"), ([True, 0], "non-integer entry True")],
+    )
+    def test_exponent_errors_name_their_place(self, exp, fragment):
+        docs = {
+            "$.generators[1]": {"vars": 2, "kind": "monomial", "generators": [[0, 1], exp]},
+            "$.generators[0][0].exp": {"vars": 2, "kind": "polynomial", "generators": [[{"coeff": "1", "exp": exp}]]},
+        }
+        for where, doc in docs.items():
+            with pytest.raises(ParseError) as err:
+                parse_ideal_text(json.dumps(doc))
+            assert str(err.value).startswith(where + ": ") and fragment in str(err.value)
+
+    def test_exponent_validator_refuses_a_non_sequence(self):
+        from staircase import FormatError, RationalPolynomial
+        from staircase.ideals import _validate_exponent
+
+        for bad in (lambda: _validate_exponent(5, 2), lambda: RationalPolynomial(2, {5: 1})):
+            with pytest.raises(FormatError, match="not a sequence"):
+                bad()
+
     def test_rational_formatting(self):
         from fractions import Fraction
 
