@@ -19,11 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .errors import ConsistencyError, NotZeroDimensionalError
 from .ideals import Exponent, MonomialIdeal, colength, exp_min, exp_sub, shift_ideal
 from .macaulay import TruncationData, certify_truncation, initial_ideal_pivots, truncation_at
 from .polynomials import MonomialOrder, PolyIdeal, Terms, default_order, substitute_linear
+from .polytope import compute_mu
 
 
 def _split_content(gens: tuple[Terms, ...]) -> tuple[Exponent, tuple[Terms, ...]]:
@@ -112,7 +114,7 @@ def initial_ideal_truncated(I: PolyIdeal, order: MonomialOrder, budget: int = 24
     Independent of Buchberger's algorithm; for ideals supported at the
     origin, both must produce the same monomial ideal.
     """
-    return initial_ideal_pivots(I, order, budget)
+    return initial_ideal_pivots(I.n, I.integer_generators, order, budget)
 
 
 def check_length_preservation(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> LengthCheck:
@@ -134,8 +136,6 @@ def _shear_matrix(rng: random.Random, n: int) -> list[list[int]]:
 
 
 def _base_trials(n: int) -> list[tuple[str, MonomialOrder]]:
-    from itertools import permutations
-
     perms = list(permutations(range(n))) if n <= 3 else [tuple(range(n)), tuple(reversed(range(n)))]
     trials = []
     for kind in ("grevlex", "lex"):
@@ -208,8 +208,6 @@ def mu_upper_bound_details(
       does not certify either, so no truncation runs.  A shear that makes a
       factor of P monomial (b != 0) searches its own N.
     """
-    from .polytope import compute_mu
-
     rng = random.Random(seed)
     grevlex = default_order("grevlex", I.n)
     runs = [(label, order, None) for label, order in _base_trials(I.n)]

@@ -15,18 +15,19 @@ element h joins the basis:
 The live elements are the reducers: S-polynomials reduce against them
 only, while a retired element keeps the pairs it already has.  The pair
 with the smallest lcm is processed first, and the final basis is
-inter-reduced, so the output is the unique reduced Groebner basis.  The
-S-pair budget counts processed pairs, the ones whose S-polynomial is
-formed; pruned pairs are never counted.  Past the budget the run stops
-with a resource error instead of running on.
+inter-reduced, so the output is the unique reduced Groebner basis.
+MAX_S_PAIRS counts processed pairs, the ones whose S-polynomial is
+formed; pruned pairs are never counted.  Past it the run stops with a
+resource error instead of running on.
 
-Polynomials inside are integer term maps, kept primitive with a positive
-leading coefficient.  A term c x^e is cancelled against a leading term
-a x^le by pseudo-reduction, work := (a/d) work - (c/d) x^(e-le) g with
-d = gcd(a, c), as in the fraction-free elimination of macaulay.  Every
-remainder is then a nonzero multiple of the remainder over the rationals,
-so leading terms, pairs and the basis are those of rational Buchberger;
-the basis is made monic over the rationals once, at the end.
+Polynomials are integer term maps (PolyIdeal.integer_generators in, the
+basis out), kept primitive with a positive leading coefficient.  A term
+c x^e is cancelled against a leading term a x^le by pseudo-reduction,
+work := (a/d) work - (c/d) x^(e-le) g with d = gcd(a, c), as in the
+fraction-free elimination of macaulay.  Every remainder is then a nonzero
+multiple of the remainder over the rationals, so leading terms, pairs and
+the basis are those of rational Buchberger, each element scaled to a
+primitive integer map.
 
 Each buchberger call computes the order key of an exponent once, on first
 use, and keeps it for that call only (_Keys).
@@ -36,14 +37,15 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from fractions import Fraction
 from math import gcd
 
 from .errors import ResourceError
 from .ideals import Exponent, MonomialIdeal, divides, exp_add, exp_max, exp_sub
-from .polynomials import MonomialOrder, PolyIdeal, RationalPolynomial, Terms
+from .polynomials import MonomialOrder, Terms
 
 Key = Callable[[Exponent], object]  # the sort key of a monomial order
+
+MAX_S_PAIRS = 50_000  # buchberger raises ResourceError past this many processed S-pairs
 
 
 class _Keys(dict):
@@ -121,15 +123,13 @@ def s_polynomial(f: tuple[Exponent, Terms], g: tuple[Exponent, Terms]) -> Terms:
     return out
 
 
-def buchberger(
-    polys: list[RationalPolynomial] | tuple[RationalPolynomial, ...],
-    order: MonomialOrder,
-    s_pair_budget: int = 50_000,
-) -> tuple[RationalPolynomial, ...]:
-    """The reduced Groebner basis of the ideal generated by polys, each
-    element monic, sorted by leading term."""
+def buchberger(gens: tuple[Terms, ...], order: MonomialOrder) -> tuple[tuple[Exponent, Terms], ...]:
+    """The reduced Groebner basis of the ideal generated by the integer term
+    maps gens (empty maps are zero and skipped), as (leading exponent,
+    terms) pairs sorted by leading term, each element primitive with a
+    positive leading coefficient."""
     key = _Keys(order).__getitem__
-    basis = [_primitive(p.integer_terms(), key) for p in polys if not p.is_zero]
+    basis = [_primitive(g, key) for g in gens if g]
     if not basis:
         raise ValueError("no nonzero generators")
     live: list[int] = []  # indices into basis of the elements that reduce
@@ -165,8 +165,8 @@ def buchberger(
     while pairs:
         _, i, j, _ = heapq.heappop(pairs)
         processed += 1
-        if processed > s_pair_budget:
-            raise ResourceError(f"S-pair budget of {s_pair_budget} exhausted")
+        if processed > MAX_S_PAIRS:
+            raise ResourceError(f"S-pair budget of {MAX_S_PAIRS} exhausted")
         r = reduce_full(s_polynomial(basis[i], basis[j]), reducers, key)
         if r:
             basis.append(_primitive(r, key))
@@ -181,11 +181,9 @@ def buchberger(
     ]
     reduced = [_primitive(reduce_full(g, kept[:idx] + kept[idx + 1 :], key), key) for idx, (_, g) in enumerate(kept)]
     reduced.sort(key=lambda t: key(t[0]))
-    n = polys[0].n
-    return tuple(RationalPolynomial(n, {e: Fraction(c, g[le]) for e, c in g.items()}) for le, g in reduced)
+    return tuple(reduced)
 
 
-def initial_ideal(I: PolyIdeal, order: MonomialOrder, s_pair_budget: int = 50_000) -> MonomialIdeal:
-    """Monomial ideal of leading exponents of a Groebner basis of I."""
-    gb = buchberger(list(I.gens), order, s_pair_budget=s_pair_budget)
-    return MonomialIdeal(I.n, tuple(max(g.terms, key=order.key) for g in gb))
+def initial_ideal(I, order: MonomialOrder) -> MonomialIdeal:
+    """Monomial ideal of the leading exponents of a Groebner basis of the PolyIdeal I."""
+    return MonomialIdeal(I.n, tuple(le for le, _ in buchberger(I.integer_generators, order)))

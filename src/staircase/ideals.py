@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import accumulate, combinations_with_replacement, product as iproduct
 
 from .errors import DimensionError, FormatError, ResourceError
 
@@ -47,31 +47,36 @@ def degree(a: Exponent) -> int:
 
 
 def _validate_exponent(e, n: int) -> Exponent:
+    """e as n nonnegative ints; a message never formats the vector, whose ints may be huge."""
     try:
         t = tuple(e)
     except TypeError:
-        raise FormatError(f"exponent {e!r} is not a sequence of integers") from None
+        raise FormatError(f"exponent of type {type(e).__name__} is not a sequence of integers") from None
     if len(t) != n:
-        raise FormatError(f"exponent {t} has length {len(t)}, expected {n}")
+        raise FormatError(f"exponent has length {len(t)}, expected {n}")
     out = []
-    for c in t:
+    for i, c in enumerate(t):
         try:
             v = operator.index(c)
         except TypeError:
             v = None
         if v is None or isinstance(c, bool):
-            raise FormatError(f"exponent {t} has a non-integer entry {c!r}")
+            shown = f"{c!r} " if isinstance(c, (bool, float, str)) else ""  # other reprs may hold huge ints
+            raise FormatError(f"exponent has a non-integer entry {shown}of type {type(c).__name__} at position {i}")
         if v < 0:
-            raise FormatError(f"exponent {t} has a negative entry; entries must be nonnegative")
+            raise FormatError(f"exponent has a negative entry at position {i}; entries must be nonnegative")
         out.append(v)
     return tuple(out)
 
 
 def _antichain(gens: list[Exponent]) -> tuple[Exponent, ...]:
-    """Inclusion-minimal elements under divisibility, canonically sorted."""
-    uniq = sorted(set(gens), key=lambda e: (degree(e), e))
+    """Inclusion-minimal elements under divisibility, sorted lexicographically."""
+    uniq = sorted(set(gens))
+    if len(uniq[0]) == 2:  # a sweep: keep each exponent whose second entry is below every earlier one's
+        lows = accumulate((g[1] for g in uniq), min, initial=math.inf)  # the least before each exponent
+        return tuple(g for g, low in zip(uniq, lows) if g[1] < low)
     keep: list[Exponent] = []
-    for g in uniq:
+    for g in sorted(uniq, key=degree):
         if not any(divides(k, g) for k in keep):
             keep.append(g)
     return tuple(sorted(keep))
@@ -196,7 +201,7 @@ def colength(J: MonomialIdeal) -> int:
 
 
 def colength_inclusion_exclusion(J: MonomialIdeal) -> int:
-    """Independent colength computation, for cross-checking the box sieve.
+    """Independent colength computation, for cross-checking the slice sum of colength.
 
     Counts box points inside the ideal by inclusion-exclusion over generator
     subsets (the lcm of a subset is the componentwise max).  Exponential in

@@ -44,8 +44,8 @@ def multiplicity(J: MonomialIdeal) -> Fraction:
 def multiplicity_limit_estimate(J: MonomialIdeal, t_max: int) -> tuple[Fraction, ...]:
     """The sequence n! * colength(J^t) / t^n for t = 1..t_max.
 
-    Converges to the multiplicity from above; t_max is capped at 8 because
-    the power colengths grow quickly.
+    Converges to the multiplicity from above.  Colength is exact at any size;
+    t_max is capped at 8 because the generator count of J^t grows quickly.
     """
     if not is_zero_dimensional(J):
         raise DimensionError(f"limit estimate needs a zero-dimensional ideal, got {J}")

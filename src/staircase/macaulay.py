@@ -43,7 +43,7 @@ from math import gcd
 
 from .errors import FormatError, NotZeroDimensionalError
 from .ideals import Exponent, MonomialIdeal, monomials_of_degree
-from .polynomials import MonomialOrder, PolyIdeal, Terms
+from .polynomials import MonomialOrder, Terms
 
 
 class _Echelon:
@@ -92,12 +92,6 @@ def _key(e: Exponent, base: int) -> int:
     return k
 
 
-def _keyed_terms(gens: tuple[Terms, ...], base: int) -> list[list[tuple[int, int, int]]]:
-    """Each generator's terms as (degree, key, coefficient) sorted by degree;
-    the key of x^e is sum e_i base^i."""
-    return [sorted((sum(e), _key(e, base), c) for e, c in g.items()) for g in gens]
-
-
 def _eliminate(gens: tuple[Terms, ...], N: int, cols: list[Exponent]) -> _Echelon:
     """Echelon of all truncated monomial multiples of the generators.
 
@@ -113,7 +107,8 @@ def _eliminate(gens: tuple[Terms, ...], N: int, cols: list[Exponent]) -> _Echelo
         col_of[k] = j
         multipliers[sum(e)].append(k)
     ech = _Echelon()
-    for terms in _keyed_terms(gens, base):
+    for g in gens:
+        terms = sorted((sum(e), _key(e, base), c) for e, c in g.items())  # (degree, key, coefficient)
         low = terms[0][0]
         for d in range(N - low + 1):
             kept = [(k, c) for deg, k, c in terms if deg + d <= N]
@@ -171,17 +166,18 @@ def certify_truncation(n: int, gens: tuple[Terms, ...], order: MonomialOrder, bu
     )
 
 
-def initial_ideal_pivots(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -> MonomialIdeal:
-    """Initial ideal of I itself via truncation; degree-compatible orders only.
+def initial_ideal_pivots(n: int, gens: tuple[Terms, ...], order: MonomialOrder, budget: int = 24) -> MonomialIdeal:
+    """Initial ideal, via truncation, of the ideal in n variables generated
+    by the integer term maps gens; degree-compatible orders only.
 
     For a degree-compatible order, every minimal generator of the initial
     ideal is the leading monomial of an element of degree at most N, and
     those elements survive truncation unchanged, so the globally order-sorted
     pivot set generates the initial ideal.
     """
-    if not order.is_degree_compatible(I.n):
+    if not order.is_degree_compatible(n):
         raise FormatError("the truncated initial-ideal oracle needs a degree-compatible order")
-    N = certify_truncation(I.n, I.integer_generators, order, budget).N
-    cols = sorted((e for d in range(N + 1) for e in monomials_of_degree(I.n, d)), key=order.key, reverse=True)
-    ech = _eliminate(I.integer_generators, N, cols)
-    return MonomialIdeal(I.n, tuple(cols[j] for j in ech.pivots))
+    N = certify_truncation(n, gens, order, budget).N
+    cols = sorted((e for d in range(N + 1) for e in monomials_of_degree(n, d)), key=order.key, reverse=True)
+    ech = _eliminate(gens, N, cols)
+    return MonomialIdeal(n, tuple(cols[j] for j in ech.pivots))

@@ -1,13 +1,12 @@
 """Polynomials with exact rational coefficients, and monomial orders.
 
 RationalPolynomial is the validated type at the edges of the degeneration
-engine: the parser builds it, reports print it, and Buchberger returns its
-basis in it.  A polynomial is a finite map from exponent vectors to nonzero
-Fractions.  Inside, the engine works on primitive integer term maps
-dict[Exponent, int] (see RationalPolynomial.integer_terms), and the
-shears of the mu bound map them to term maps (substitute_linear).  Orders are
-total, multiplicative and global, so leading terms and Groebner reductions
-are well defined.
+engine: the parser builds it and reports print it.  A polynomial is a
+finite map from exponent vectors to nonzero Fractions.  Inside, Buchberger,
+the truncations and the shears of the mu bound (substitute_linear) work on
+primitive integer term maps dict[Exponent, int]; integer_terms is the one
+conversion, and nothing converts back.  Orders are total, multiplicative
+and global, so leading terms and Groebner reductions are well defined.
 """
 
 from __future__ import annotations

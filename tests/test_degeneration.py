@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -123,7 +125,7 @@ class TestBuchberger:
 
     def test_reduction_gives_zero_on_members(self):
         order = default_order("grevlex", 2)
-        gb = [(max(g.terms, key=order.key), g.integer_terms()) for g in buchberger(list(BOUNDARY_PRIMITIVE.gens), order)]
+        gb = list(buchberger(BOUNDARY_PRIMITIVE.integer_generators, order))
         for f in BOUNDARY_PRIMITIVE.gens:
             assert reduce_full(f.integer_terms(), gb, order.key) == {}
         # products of members reduce to zero as well
@@ -132,8 +134,8 @@ class TestBuchberger:
 
     def test_reduced_basis_is_canonical(self):
         order = default_order("grevlex", 2)
-        gb1 = buchberger(list(BOUNDARY_PRIMITIVE.gens), order)
-        gb2 = buchberger(list(reversed(BOUNDARY_PRIMITIVE.gens)), order)
+        gb1 = buchberger(BOUNDARY_PRIMITIVE.integer_generators, order)
+        gb2 = buchberger(tuple(reversed(BOUNDARY_PRIMITIVE.integer_generators)), order)
         assert gb1 == gb2
 
     def test_classic_twist(self):
@@ -164,19 +166,20 @@ class TestBuchberger:
             n = 2 if i % 2 == 0 else 3
             I = random_origin_ideal(mix(4242, i), n)
             order = default_order("grevlex", n)
-            expected = buchberger(list(I.gens), order)
+            expected = buchberger(I.integer_generators, order)
             calls.clear()
             monkeypatch.setattr(MonomialOrder, "key", counted)
-            assert buchberger(list(I.gens), order) == expected
+            assert buchberger(I.integer_generators, order) == expected
             monkeypatch.undo()
             assert calls and max(calls.values()) == 1, i
 
-    def test_pair_budget_exhaustion(self):
-        from staircase import ResourceError
+    def test_pair_budget_exhaustion(self, monkeypatch):
+        from staircase import ResourceError, groebner
 
         I = PolyIdeal(2, (P(2, (1, (1, 0)), (-1, (0, 2))), P(2, (1, (0, 3)))))
+        monkeypatch.setattr(groebner, "MAX_S_PAIRS", 0)
         with pytest.raises(ResourceError):
-            initial_ideal(I, MonomialOrder("grevlex"), s_pair_budget=0)
+            initial_ideal(I, MonomialOrder("grevlex"))
 
 
 PAIR_ORDERS = {
@@ -217,12 +220,11 @@ class TestPairCriteria:
         from staircase.groebner import s_polynomial
 
         order = PAIR_ORDERS[kind](ideal.n)
-        gb = buchberger(list(ideal.gens), order)
-        leads = [max(g.terms, key=order.key) for g in gb]
-        for g, le in zip(gb, leads):
-            assert g.terms[le] == 1
-            assert not any(divides(l2, e) for l2 in leads if l2 != le for e in g.terms)
-        basis = [(le, g.integer_terms()) for g, le in zip(gb, leads)]
+        basis = list(buchberger(ideal.integer_generators, order))
+        leads = [le for le, _ in basis]
+        for le, g in basis:  # primitive, with a positive leading coefficient
+            assert le == max(g, key=order.key) and g[le] > 0 and math.gcd(*g.values()) == 1
+            assert not any(divides(l2, e) for l2 in leads if l2 != le for e in g)
         for f in ideal.integer_generators:
             assert reduce_full(f, basis, order.key) == {}
         for i in range(len(basis)):
@@ -244,12 +246,13 @@ class TestPairCriteria:
         monkeypatch.setattr(groebner, "s_polynomial", counted)
         for i in range(12):
             I = random_origin_ideal(mix(4242, i), 2 if i % 2 == 0 else 3)
-            buchberger(list(I.gens), default_order("grevlex", I.n))
+            buchberger(I.integer_generators, default_order("grevlex", I.n))
         assert len(calls) == 42
 
 
 def sympy_matches(sp, I, kind):
-    """buchberger agrees with sympy's reduced basis of I, both made monic."""
+    """buchberger agrees with sympy's reduced basis of I, both made monic
+    (ours from primitive integer terms)."""
     n = I.n
     order = default_order(kind, n)
     syms = [sp.Symbol(f"x{j}") for j in range(n)]
@@ -277,7 +280,7 @@ def sympy_matches(sp, I, kind):
 
     gb = sp.groebner([to_expr(g) for g in I.gens], *ordered, order=kind)
     theirs = {monic_terms(p) for p in gb.polys}
-    mine = {tuple(sorted(g.terms.items())) for g in buchberger(list(I.gens), order)}
+    mine = {tuple(sorted((e, F(c, g[le])) for e, c in g.items())) for le, g in buchberger(I.integer_generators, order)}
     return mine == theirs
 
 
@@ -361,9 +364,9 @@ class TestIntegerCore:
             scales = [F(1, 2), F(-3, 7), F(5, 3), F(7)]
             halves = [RationalPolynomial(n, {e: s * c for e, c in g.terms.items()}) for g, s in zip(I.gens, scales * 2)]
             order = default_order("grevlex", n)
-            gb = buchberger(halves, order)
-            assert gb == buchberger(list(I.gens), order)
-            assert all(g.terms[max(g.terms, key=order.key)] == 1 for g in gb)
+            gb = buchberger(tuple(h.integer_terms() for h in halves), order)
+            assert gb == buchberger(I.integer_generators, order)
+            assert all(g[le] > 0 and math.gcd(*g.values()) == 1 for le, g in gb)
 
     def test_polynomials_built_only_for_the_basis(self, monkeypatch):
         I = random_origin_ideal(mix(4242, 3), 3)
@@ -376,7 +379,8 @@ class TestIntegerCore:
 
         monkeypatch.setattr(RationalPolynomial, "__post_init__", counted)
         J = initial_ideal(I, default_order("grevlex", 3))
-        assert len(built) == len(J.gens) > 1
+        assert len(J.gens) > 1
+        assert built == []  # the basis comes back as integer term maps
 
     def test_product_of_powers_is_charged_before_it_is_built(self):
         # x2^1999 and x3^61 map to powers of 2,000 and 1,953 terms, each within
@@ -717,6 +721,51 @@ class TestContentSplitBuildsNoPolynomial:
         assert built == []
         # some trial certified; on NON_MONOMIAL_FACTOR only a shear that searched its own N does
         assert any(mu is not None for _, mu in details)
+
+
+class TestDegenerateOpConvertsOnce:
+    def test_benchmark_degenerate_ops(self, monkeypatch, tmp_path):
+        # every seed-1 degenerate document of the benchmark: after parsing, the
+        # op builds no polynomial and converts each generator to integers once
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        from staircase import cli
+
+        bench = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", bench)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up there
+        spec.loader.exec_module(workloads)
+        docs = [op.doc for op in workloads.degeneration(1) if op.command == "degenerate"]
+
+        built = _count_polynomials(monkeypatch)
+        converted = []
+        real_terms, real_parse = RationalPolynomial.integer_terms, cli.parse_ideal_file
+
+        def counted_terms(self):
+            converted.append(self)
+            return real_terms(self)
+
+        def parse(path):
+            ideals = real_parse(path)
+            built.clear()
+            return ideals
+
+        monkeypatch.setattr(RationalPolynomial, "integer_terms", counted_terms)
+        monkeypatch.setattr(cli, "parse_ideal_file", parse)
+        path = tmp_path / "ideal.json"
+        totals = Counter()
+        for doc in docs:
+            path.write_text(json.dumps(doc))
+            converted.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["degenerate", "--input", str(path)]) == 0
+            assert built == [] and len(converted) == len(doc["generators"]), doc
+            totals["docs"] += 1
+            totals["generators"] += len(doc["generators"])
+        assert totals == {"docs": 192, "generators": 774}
 
 
 class TestShearsShareTheSearch:

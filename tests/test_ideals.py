@@ -85,6 +85,43 @@ class TestMinimalize:
             with pytest.raises(FormatError):
                 MonomialIdeal(2, [(bad, 0)])
 
+    def test_huge_entries_raise_format_errors(self):
+        # the messages name a bad entry's position and type, never the vector,
+        # whose ints may be too long for Python to format
+        big = 10**5000
+        for bad in (
+            lambda: MonomialIdeal(2, [(-big, 0)]),
+            lambda: MonomialIdeal(2, [(big, "a")]),
+            lambda: MonomialIdeal(2, [(big, 0, 1)]),
+            lambda: ideals_module._validate_exponent(big, 2),
+            lambda: RationalPolynomial(2, {(big, -1): 1}),
+            lambda: MonomialIdeal(2, [(Fraction(big), 0)]),
+        ):
+            with pytest.raises(FormatError):
+                bad()
+
+    def test_two_variable_sweep_matches_brute_force(self):
+        rng = random.Random(2024)
+        for _ in range(500):
+            gens = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(rng.randint(1, 12))]
+            minimal = {g for g in gens if not any(h != g and ideals_module.divides(h, g) for h in gens)}
+            assert MonomialIdeal(2, gens).gens == tuple(sorted(minimal))
+
+    def test_two_variable_parse_of_a_large_antichain(self):
+        # the 3,001 generators of the closure of (x^3000, y^3000), shuffled
+        import json
+        import time
+
+        from staircase.ideal_io import parse_ideal_text
+
+        gens = [[i, 3000 - i] for i in range(3001)]
+        random.Random(7).shuffle(gens)
+        text = json.dumps({"vars": 2, "kind": "monomial", "generators": gens})
+        start = time.perf_counter()
+        (J,) = parse_ideal_text(text)
+        assert time.perf_counter() - start < 1
+        assert J.gens == tuple((i, 3000 - i) for i in range(3001))
+
     @given(gen_sets(2), st.permutations(range(5)))
     def test_idempotent_and_order_insensitive(self, gens, perm):
         J = minimalize(gens, 2)
