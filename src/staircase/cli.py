@@ -46,38 +46,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"staircase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # shared flags: file commands, then seeded commands, then corpus commands
-    io = argparse.ArgumentParser(add_help=False)
+    # shared flags, one parent parser per group; each command lists the groups it reads
+    io, seed, count, dim, shape = (argparse.ArgumentParser(add_help=False) for _ in range(5))
     io.add_argument("--input", help="path to an ideal or corpus document")
     io.add_argument("--format", choices=("json", "tsv"), default="json")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[io])
-    seeded.add_argument("--seed", type=int, default=0)
-    corpus = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    corpus.add_argument("--count", type=int, default=100)
-    corpus.add_argument("--dim", type=int, default=2)
-    corpus.add_argument("--max-exp", type=int, default=10)
-    corpus.add_argument("--max-gens", type=int, default=8)
+    seed.add_argument("--seed", type=int, default=0)
+    count.add_argument("--count", type=int, default=100)
+    dim.add_argument("--dim", type=int, default=2)
+    shape.add_argument("--max-exp", type=int, default=10)
+    shape.add_argument("--max-gens", type=int, default=8)
 
-    def add(name, help_text, run, parent=io):
-        p = sub.add_parser(name, help=help_text, parents=[parent])
+    def add(name, help_text, run, *parents):
+        p = sub.add_parser(name, help=help_text, parents=list(parents))
         p.set_defaults(run=run)
         return p
 
-    add("lct", "diagonal entry value mu and log canonical threshold", _cmd_lct)
-    p = add("mult", "Samuel multiplicity (covolume)", _cmd_mult)
+    add("lct", "diagonal entry value mu and log canonical threshold", _cmd_lct, io)
+    p = add("mult", "Samuel multiplicity (covolume)", _cmd_mult, io)
     p.add_argument("--t-max", type=int, default=0, help="also report n! colength(J^t)/t^n for t = 1..t_max")
-    add("length", "colength (number of standard monomials)", _cmd_length)
-    add("polytope", "facet description of the Newton polytope", _cmd_polytope)
-    add("closure", "integral closure and maximal-power detection", _cmd_closure)
-    add("verify", "zero-dimensional invariant suite over a file or seeded corpus", _cmd_verify, corpus)
-    add("codim2", "two-variable factor bounds over a file or seeded corpus", _cmd_codim2, corpus)
-    p = add("degenerate", "initial ideal and tangent-cone degeneration of a polynomial ideal", _cmd_degenerate)
+    add("length", "colength (number of standard monomials)", _cmd_length, io)
+    add("polytope", "facet description of the Newton polytope", _cmd_polytope, io)
+    add("closure", "integral closure and maximal-power detection", _cmd_closure, io)
+    add("verify", "zero-dimensional invariant suite over a file or seeded corpus", _cmd_verify, io, seed, count, dim, shape)
+    add("codim2", "two-variable factor bounds over a file or seeded corpus", _cmd_codim2, io, seed, count, shape)
+    p = add("degenerate", "initial ideal and tangent-cone degeneration of a polynomial ideal", _cmd_degenerate, io)
     p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
     p.add_argument("--budget", type=int, default=24)
-    p = add("mu-bound", "certified upper bound for mu via monomial degenerations", _cmd_mu_bound, seeded)
+    p = add("mu-bound", "certified upper bound for mu via monomial degenerations", _cmd_mu_bound, io, seed)
     p.add_argument("--budget", type=int, default=24)
     p.add_argument("--trials", type=int, default=8)
-    p = add("gen-corpus", "emit a reproducible corpus document", _cmd_gen_corpus, corpus)
+    p = add("gen-corpus", "emit a reproducible corpus document", _cmd_gen_corpus, seed, count, dim, shape)
     p.add_argument("--mixed", action="store_true", help="do not force zero-dimensionality")
     return parser
 
@@ -170,14 +168,12 @@ def _cmd_closure(args):
     return 0, reports, None
 
 
+_CORPUS_FLAGS = ("seed", "count", "dim", "max_exp", "max_gens")
+
+
 def _corpus_echo(args) -> dict:
-    return {
-        "seed": args.seed,
-        "count": args.count,
-        "dim": args.dim,
-        "max_exp": args.max_exp,
-        "max_gens": args.max_gens,
-    }
+    """The corpus flags the command declares, so a report echoes no flag its command lacks."""
+    return {flag: getattr(args, flag) for flag in _CORPUS_FLAGS if hasattr(args, flag)}
 
 
 def _run_suite(args, corpus, check, to_dict):
@@ -236,8 +232,6 @@ def _cmd_mu_bound(args):
 
 
 def _cmd_gen_corpus(args):
-    if args.format == "tsv":
-        raise StaircaseError("gen-corpus emits JSON corpus documents only")
     ideals = [
         random_ideal(_mix(args.seed, i), args.dim, args.max_exp, args.max_gens, not args.mixed)
         for i in range(args.count)
@@ -256,11 +250,11 @@ def main(argv=None) -> int:
     try:
         code, reports, extra = args.run(args)
         if reports is None:
-            doc = extra  # gen-corpus emits its own document shape
+            out = render_json(extra)  # gen-corpus emits its own JSON document
         else:
             echo = extra.pop("input_echo") if extra else {"path": args.input}
             doc = make_document(args.command, echo, reports, __version__, extra)
-        out = render_tsv(doc) if args.format == "tsv" else render_json(doc)
+            out = render_tsv(doc) if args.format == "tsv" else render_json(doc)
         sys.stdout.write(out)
         return code
     except ConsistencyError as exc:

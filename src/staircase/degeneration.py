@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import ConsistencyError, NotZeroDimensionalError
+from .errors import ConsistencyError, NotZeroDimensionalError, ideal_shape
 from .ideals import Exponent, MonomialIdeal, colength, exp_min, exp_sub, shift_ideal
 from .macaulay import TruncationData, certify_truncation, initial_ideal_pivots, truncation_at
 from .polynomials import MonomialOrder, PolyIdeal, Terms, default_order, substitute_linear
@@ -82,7 +82,7 @@ class TangentCone:
         check = LengthCheck(l_orig=l_orig, l_initial=l_initial, equal=l_orig == l_initial)
         if not check.equal:
             raise ConsistencyError(
-                f"degeneration changed the length: {l_orig} != {l_initial} on {self.initial}", report=check
+                f"degeneration changed the length: {l_orig} != {l_initial} on {ideal_shape(self.initial)}", report=check
             )
         return check
 
@@ -236,7 +236,7 @@ def mu_upper_bound_details(
                 if data.certified != fixed or (fixed and data.rank != first.rank):
                     raise ConsistencyError(
                         f"{label} changed the truncation at N = {first.N}: certified {data.certified} with rank "
-                        f"{data.rank}, expected certified {fixed} with rank {first.rank} on {I}"
+                        f"{data.rank}, expected certified {fixed} with rank {first.rank} on {ideal_shape(I)}"
                     )
             elif part_content == image:
                 data = None

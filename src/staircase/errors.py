@@ -1,6 +1,12 @@
 """Exception types shared across the package."""
 
 
+def ideal_shape(ideal) -> str:
+    """An ideal as messages name it: by n and the generator count, never by exponents that may be huge."""
+    m = len(ideal.gens)
+    return f"an ideal in {ideal.n} variables with {m} generator{'s' * (m != 1)}"
+
+
 class StaircaseError(Exception):
     """Base class for all package errors."""
 

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, product as iproduct
 
-from .errors import DimensionError, FormatError, ResourceError
+from .errors import DimensionError, FormatError, ResourceError, ideal_shape
 
 Exponent = tuple[int, ...]
 
@@ -144,9 +144,9 @@ def monomials_of_degree(n: int, d: int) -> tuple[Exponent, ...]:
 def maximal_ideal_power(n: int, q: int) -> MonomialIdeal:
     """The q-th power of (x_1, ..., x_n); generators are all exponents of total degree q."""
     if n < 1:
-        raise FormatError(f"ambient variable count must be >= 1, got {n}")
+        raise FormatError("ambient variable count must be >= 1")
     if q < 0:
-        raise FormatError(f"power must be nonnegative, got {q}")
+        raise FormatError("power must be nonnegative")
     return MonomialIdeal._from_antichain(n, monomials_of_degree(n, q))  # one degree: an antichain
 
 
@@ -167,7 +167,7 @@ def pure_power_degrees(J: MonomialIdeal) -> tuple[int, ...]:
     for i in range(J.n):
         cands = [g[i] for g in J.gens if all(g[j] == 0 for j in range(J.n) if j != i)]
         if not cands:
-            raise DimensionError(f"ideal {J} is not zero-dimensional: no pure power of variable {i}")
+            raise DimensionError(f"{ideal_shape(J)} is not zero-dimensional: no pure power of variable {i}")
         degs.append(min(cands))
     return tuple(degs)
 
@@ -234,7 +234,7 @@ def ideal_product(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
 def ideal_power(J: MonomialIdeal, t: int) -> MonomialIdeal:
     """t-th power by iterated products (t = 0 gives the unit ideal)."""
     if t < 0:
-        raise FormatError(f"power must be nonnegative, got {t}")
+        raise FormatError("power must be nonnegative")
     result = MonomialIdeal(J.n, ((0,) * J.n,))
     for _ in range(t):
         result = ideal_product(result, J)

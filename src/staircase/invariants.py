@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, DimensionError, DomainError, ResourceError
+from .errors import ConsistencyError, DimensionError, DomainError, ResourceError, ideal_shape
 from .ideals import (
     MonomialIdeal,
     colength,
@@ -37,7 +37,7 @@ from .polytope import compute_mu, covolume
 def multiplicity(J: MonomialIdeal) -> Fraction:
     """Samuel multiplicity of a zero-dimensional monomial ideal (equals the covolume)."""
     if not is_zero_dimensional(J):
-        raise DimensionError(f"multiplicity needs a zero-dimensional ideal, got {J}")
+        raise DimensionError(f"multiplicity needs a zero-dimensional ideal, got {ideal_shape(J)}")
     return covolume(J)
 
 
@@ -48,11 +48,11 @@ def multiplicity_limit_estimate(J: MonomialIdeal, t_max: int) -> tuple[Fraction,
     t_max is capped at 8 because the generator count of J^t grows quickly.
     """
     if not is_zero_dimensional(J):
-        raise DimensionError(f"limit estimate needs a zero-dimensional ideal, got {J}")
+        raise DimensionError(f"limit estimate needs a zero-dimensional ideal, got {ideal_shape(J)}")
     if t_max < 1:
-        raise DomainError(f"t_max must be >= 1, got {t_max}")
+        raise DomainError("t_max must be >= 1")
     if t_max > 8:
-        raise ResourceError(f"t_max {t_max} exceeds the supported limit of 8")
+        raise ResourceError("t_max exceeds the supported limit of 8")
     n = J.n
     out = []
     power = J
@@ -117,7 +117,7 @@ def verify_zero_dim(J: MonomialIdeal, *, fatal: bool = True) -> ZeroDimReport:
     if J.is_unit:
         raise DomainError("the unit ideal has no length bounds; pass a proper ideal")
     if not is_zero_dimensional(J):
-        raise DimensionError(f"verify_zero_dim needs a zero-dimensional ideal, got {J}")
+        raise DimensionError(f"verify_zero_dim needs a zero-dimensional ideal, got {ideal_shape(J)}")
     n = J.n
     mu = compute_mu(J).mu
     length = colength(J)
@@ -142,7 +142,7 @@ def verify_zero_dim(J: MonomialIdeal, *, fatal: bool = True) -> ZeroDimReport:
     )
     if fatal and report.violations():
         raise ConsistencyError(
-            f"invariant checks failed on {J}: {', '.join(report.violations())}", report=report
+            f"invariant checks failed on {ideal_shape(J)}: {', '.join(report.violations())}", report=report
         )
     return report
 
@@ -238,7 +238,7 @@ def verify_codim2(I: MonomialIdeal, *, fatal: bool = True) -> Codim2Report:
     )
     if fatal and report.violations():
         raise ConsistencyError(
-            f"codimension-2 checks failed on {I}: {', '.join(report.violations())}", report=report
+            f"codimension-2 checks failed on {ideal_shape(I)}: {', '.join(report.violations())}", report=report
         )
     return report
 

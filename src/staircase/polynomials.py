@@ -181,7 +181,7 @@ class MonomialOrder:
         n = len(exp)
         prio = range(n) if self.priority is None else self.priority
         if len(prio) != n or (self.kind == "weighted" and len(self.weights) != n):
-            raise FormatError(f"order {self} does not fit {n} variables")
+            raise FormatError(f"{self.kind} order does not fit {n} variables")
         if self.kind == "lex":
             return tuple(exp[i] for i in prio)
         if self.kind == "grevlex":

@@ -153,23 +153,25 @@ class NewtonPolytope:
     def bounded_facets(self) -> tuple[FacetInequality, ...]:
         return tuple(f for f in self.facets if f.is_bounded)
 
-    def contains_point(self, u) -> bool:
-        """Exact membership via the facet description."""
+    def _point(self, u) -> tuple[Fraction, ...]:
+        """u as n nonnegative Fractions; a message names a coordinate by position, never by value."""
         u = tuple(Fraction(x) for x in u)
         if len(u) != self.n:
             raise DomainError(f"point has length {len(u)}, expected {self.n}")
-        if any(x < 0 for x in u):
-            raise DomainError(f"point {u} has a negative coordinate")
+        for i, x in enumerate(u):
+            if x < 0:
+                raise DomainError(f"point has a negative coordinate at position {i}")
+        return u
+
+    def contains_point(self, u) -> bool:
+        """Exact membership via the facet description."""
+        u = self._point(u)
         return all(f.satisfied(u) for f in self.facets)
 
     def contains_point_lp(self, u) -> bool:
         """Independent membership oracle: is u = sum lambda_i v_i + r with
         lambda >= 0, sum lambda = 1, r >= 0 feasible?  Exact phase-1 simplex."""
-        u = tuple(Fraction(x) for x in u)
-        if len(u) != self.n:
-            raise DomainError(f"point has length {len(u)}, expected {self.n}")
-        if any(x < 0 for x in u):
-            raise DomainError(f"point {u} has a negative coordinate")
+        u = self._point(u)
         m = len(self.points)
         A: list[list[Fraction]] = []
         b: list[Fraction] = []

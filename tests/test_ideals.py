@@ -100,6 +100,47 @@ class TestMinimalize:
             with pytest.raises(FormatError):
                 bad()
 
+    def test_messages_never_format_huge_arguments(self):
+        # a message names n, the generator count or a coordinate's position,
+        # never the ideal, the point or the power, whose ints may be too long
+        # for Python to format
+        from staircase import (
+            DimensionError,
+            DomainError,
+            build_polytope,
+            covolume,
+            multiplicity,
+            multiplicity_limit_estimate,
+            verify_zero_dim,
+        )
+
+        big = 10**5000
+        J = MonomialIdeal(2, [(big, 1)])
+        for bad in (
+            lambda: colength(J),
+            lambda: multiplicity(J),
+            lambda: covolume(J),
+            lambda: verify_zero_dim(J),
+            lambda: multiplicity_limit_estimate(J, 2),
+        ):
+            with pytest.raises(DimensionError, match="not zero-dimensional|needs a zero-dimensional"):
+                bad()
+        for bad in (
+            lambda: maximal_ideal_power(-big, 1),
+            lambda: maximal_ideal_power(2, -big),
+            lambda: ideal_power(M2, -big),
+        ):
+            with pytest.raises(FormatError):
+                bad()
+        with pytest.raises(DomainError, match="t_max must be >= 1"):
+            multiplicity_limit_estimate(M2, -big)
+        with pytest.raises(ResourceError, match="t_max exceeds"):
+            multiplicity_limit_estimate(M2, big)
+        P = build_polytope(M2)
+        for bad in (P.contains_point, P.contains_point_lp):
+            with pytest.raises(DomainError, match="negative coordinate at position 0"):
+                bad((-big, 0))
+
     def test_two_variable_sweep_matches_brute_force(self):
         rng = random.Random(2024)
         for _ in range(500):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import mix, random_origin_ideal
 from staircase import MonomialIdeal, ParseError, PolyIdeal
-from staircase.cli import main
+from staircase.cli import build_parser, main
 from staircase.ideal_io import (
     format_rational,
     ideal_to_document,
@@ -288,7 +289,22 @@ class TestCli:
 
     def test_gen_corpus_rejects_tsv(self, capsys):
         code, _, err = run_cli(capsys, "gen-corpus", "--count", "2", "--format", "tsv")
-        assert code == 2 and "JSON" in err
+        assert code == 2 and "unrecognized arguments: --format" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("codim2", "--dim", "3"), ("gen-corpus", "--input", "x.json"), ("gen-corpus", "--format", "json")],
+        ids=" ".join,
+    )
+    def test_unread_flags_are_refused(self, capsys, argv):
+        # codim2 corpora are two-variable; gen-corpus reads no file and writes JSON only
+        code, out, err = run_cli(capsys, *argv, "--count", "1")
+        assert (code, out) == (2, "") and f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+    def test_codim2_echoes_only_its_corpus_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "codim2", "--seed", "3", "--count", "2")
+        assert code == 0
+        assert json.loads(out)["input"] == {"seed": 3, "count": 2, "max_exp": 10, "max_gens": 8}
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -454,6 +470,8 @@ PINNED_DIGESTS = {
     ("mu-bound", "--seed", "3", "--input", "origin-a.json"): "672943c3228f099566f2f377d8ca11e0abe93c899e5ae3340b0591978eb0b191",
     ("degenerate", "--input", "origin-b.json"): "a77ed6310e6e3df15bf858eaf3b3c95a6260cb90f759e967ab0583f65c3fe023",
     ("degenerate", "--input", "origin-c.json"): "157ff32b9216a5c9a9065fc1424cfee80b6f1242aa65e5f17bffa2cd2ce8b158",
+    # recorded before gen-corpus lost its unread --input and --format
+    ("gen-corpus", "--seed", "3", "--count", "20", "--dim", "3", "--mixed"): "282ae7ddcf6d7c096d208bea737dacd4de3dc7df32801bb1f248ac96c20e2d59",
 }
 CLOSURE_CORPUS = {
     "kind": "corpus",
@@ -482,9 +500,10 @@ PINNED_INPUTS = {
 }
 
 
-# sha256 of `--help` at 80 columns.  The top level, verify, codim2, mu-bound
-# and gen-corpus are the bytes from before the shared flags moved into parent
-# parsers; the six file commands differ from those only by the dropped --seed.
+# sha256 of `--help` at 80 columns.  The top level, verify and mu-bound are
+# the bytes from before the shared flags moved into parent parsers; the six
+# file commands differ from those only by the dropped --seed, codim2 by the
+# dropped --dim and gen-corpus by the dropped --input and --format.
 PINNED_HELP = {
     "": "7b27cfc4c15dcbc0c6c65360232891e298daf40429a0a5c8556c83c86d462a2e",
     "lct": "8f2739f3620e40f4c91a7ac67426bbfde353b52e1dbf686f4bbd24b5ee29e0c6",
@@ -493,11 +512,36 @@ PINNED_HELP = {
     "polytope": "ac3eb32bccbe6013a25008a04843b48260e601cd5e8eb32f112953bc04c0a1a6",
     "closure": "5a3c53af44853d4609b84351cec752683f571ba74c516619d2860d317e0d2076",
     "verify": "90ed8fb829fb34cfb2c4555b4df5e150bed0ff79a61d9348f3ee67f31e4c8cfa",
-    "codim2": "2e55c6b735013871b59e2639d9ed4d73adabab3ab886b3d8a2df61b12a9487a9",
+    "codim2": "7681ce4fb1f3026e4f5a74002340bf57651f8f268a90ee84bf02b81ec44b3095",
     "degenerate": "157ed6247256e5affa8b7be6c7146915540de58485428bd33c2d96ffccf17dde",
     "mu-bound": "d60aa617c4e499743a61083f12b9537fd9896d2d02234cffd9fb8731861f72b4",
-    "gen-corpus": "692758008f8f3e3f537f1eb4d29456c864472c2efdd0be46c984302de67b28ab",
+    "gen-corpus": "a82d186c8c713da4d47079a6d97fe3468138b51a4a0715d7f10f7659452f10a9",
 }
+
+
+# every option string each command accepts besides -h; unlike the help
+# digests this holds on any Python version
+COMMAND_FLAGS = {
+    "lct": "--input --format",
+    "length": "--input --format",
+    "mult": "--input --format --t-max",
+    "polytope": "--input --format",
+    "closure": "--input --format",
+    "verify": "--input --format --seed --count --dim --max-exp --max-gens",
+    "codim2": "--input --format --seed --count --max-exp --max-gens",
+    "degenerate": "--input --format --order --budget",
+    "mu-bound": "--input --format --seed --budget --trials",
+    "gen-corpus": "--seed --count --dim --max-exp --max-gens --mixed",
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: " ".join(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert flags == COMMAND_FLAGS
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help layout was recorded under Python 3.11")
