@@ -13,7 +13,8 @@ from staircase import (
     RationalPolynomial,
     contains_polynomial,
     integral_closure,
-    mu_upper_bound,
+    least_certified_mu,
+    mu_upper_bound_details,
     shift_ideal,
     tangent_cone_initial,
     verify_codim2,
@@ -37,4 +38,4 @@ print(f"  x2^2 + x1^2 x2 in closure((x1^6, x2^2)): {contains_polynomial(prim_clo
 I = PolyIdeal(2, (RationalPolynomial(2, {(6, 2): 1}), RationalPolynomial(2, {(0, 4): 1, (2, 3): 1})))
 print(f"perturbed polynomial ideal: x2^2 (x1^6, x2^2 + x1^2 x2)")
 print(f"  tangent-cone degeneration: {list(tangent_cone_initial(I).gens)}")
-print(f"  certified upper bound for mu: {mu_upper_bound(I, trials=8, seed=0)}")
+print(f"  certified upper bound for mu: {least_certified_mu(mu_upper_bound_details(I, trials=8, seed=0))}")

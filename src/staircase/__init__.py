@@ -56,7 +56,8 @@ from .degeneration import (
     TangentCone,
     check_length_preservation,
     initial_ideal_truncated,
-    mu_upper_bound,
+    least_certified_mu,
+    mu_upper_bound_details,
     tangent_cone,
     tangent_cone_initial,
 )

@@ -41,6 +41,21 @@ from .reports import (
 )
 
 
+def _int_at_least(low: int):
+    """An argparse type for ints >= low, named int so that a non-integer reads "invalid int value"."""
+
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+_NONNEGATIVE, _BUDGET = _int_at_least(0), _int_at_least(2)  # a --budget N search starts at N = 2
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="staircase", description="Exact invariants of monomial ideals.")
     parser.add_argument("--version", action="version", version=f"staircase {__version__}")
@@ -51,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--input", help="path to an ideal or corpus document")
     io.add_argument("--format", choices=("json", "tsv"), default="json")
     seed.add_argument("--seed", type=int, default=0)
-    count.add_argument("--count", type=int, default=100)
+    count.add_argument("--count", type=_NONNEGATIVE, default=100)
     dim.add_argument("--dim", type=int, default=2)
     shape.add_argument("--max-exp", type=int, default=10)
     shape.add_argument("--max-gens", type=int, default=8)
@@ -63,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("lct", "diagonal entry value mu and log canonical threshold", _cmd_lct, io)
     p = add("mult", "Samuel multiplicity (covolume)", _cmd_mult, io)
-    p.add_argument("--t-max", type=int, default=0, help="also report n! colength(J^t)/t^n for t = 1..t_max")
+    p.add_argument("--t-max", type=_NONNEGATIVE, default=0, help="also report n! colength(J^t)/t^n for t = 1..t_max")
     add("length", "colength (number of standard monomials)", _cmd_length, io)
     add("polytope", "facet description of the Newton polytope", _cmd_polytope, io)
     add("closure", "integral closure and maximal-power detection", _cmd_closure, io)
@@ -71,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("codim2", "two-variable factor bounds over a file or seeded corpus", _cmd_codim2, io, seed, count, shape)
     p = add("degenerate", "initial ideal and tangent-cone degeneration of a polynomial ideal", _cmd_degenerate, io)
     p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
-    p.add_argument("--budget", type=int, default=24)
+    p.add_argument("--budget", type=_BUDGET, default=24)
     p = add("mu-bound", "certified upper bound for mu via monomial degenerations", _cmd_mu_bound, io, seed)
-    p.add_argument("--budget", type=int, default=24)
-    p.add_argument("--trials", type=int, default=8)
+    p.add_argument("--budget", type=_BUDGET, default=24)
+    p.add_argument("--trials", type=_NONNEGATIVE, default=8)
     p = add("gen-corpus", "emit a reproducible corpus document", _cmd_gen_corpus, seed, count, dim, shape)
     p.add_argument("--mixed", action="store_true", help="do not force zero-dimensionality")
     return parser

@@ -144,20 +144,9 @@ def _base_trials(n: int) -> list[tuple[str, MonomialOrder]]:
     return trials
 
 
-def mu_upper_bound(I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = 24) -> Fraction:
-    """Certified upper bound for mu(I): the smallest mu over a family of
-    monomial degenerations (built-in orders, variable permutations, and
-    seeded lower-triangular coordinate changes).
-
-    Weakly decreasing in the number of trials; trials that fail the
-    zero-dimensionality certificate are skipped.
-    """
-    return least_certified_mu(mu_upper_bound_details(I, trials=trials, seed=seed, budget=budget))
-
-
 def least_certified_mu(details: list[tuple[str, Fraction | None]]) -> Fraction:
-    """The smallest mu among the trials that certified; raises
-    NotZeroDimensionalError when none did."""
+    """The smallest mu among the trials that certified, an upper bound for
+    mu(I); raises NotZeroDimensionalError when none did."""
     values = [mu for _, mu in details if mu is not None]
     if not values:
         raise NotZeroDimensionalError(

@@ -39,7 +39,7 @@ import heapq
 from collections.abc import Callable
 from math import gcd
 
-from .errors import ResourceError
+from .errors import FormatError, ResourceError
 from .ideals import Exponent, MonomialIdeal, divides, exp_add, exp_max, exp_sub
 from .polynomials import MonomialOrder, Terms
 
@@ -131,7 +131,7 @@ def buchberger(gens: tuple[Terms, ...], order: MonomialOrder) -> tuple[tuple[Exp
     key = _Keys(order).__getitem__
     basis = [_primitive(g, key) for g in gens if g]
     if not basis:
-        raise ValueError("no nonzero generators")
+        raise FormatError("no nonzero generators")
     live: list[int] = []  # indices into basis of the elements that reduce
     reducers: list[tuple[Exponent, Terms]] = []
     pairs: list[tuple[object, int, int, Exponent]] = []  # heap of (key of the lcm, i, j, lcm)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement, product as iproduct
+from itertools import accumulate, product as iproduct
 
 from .errors import DimensionError, FormatError, ResourceError, ideal_shape
 
@@ -131,14 +131,11 @@ def minimalize(gens, n: int) -> MonomialIdeal:
 
 
 def monomials_of_degree(n: int, d: int) -> tuple[Exponent, ...]:
-    """All exponent vectors in n variables of total degree d, sorted lexicographically."""
-    out = []
-    for combo in combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return tuple(sorted(out))
+    """All exponent vectors in n >= 1 variables of total degree d, sorted lexicographically, each built in O(n)."""
+    heads = [((), d)]  # (leading entries, degree left for the rest)
+    for _ in range(n - 1):
+        heads = [(e + (a,), left - a) for e, left in heads for a in range(left + 1)]
+    return tuple(e + (left,) for e, left in heads)
 
 
 def maximal_ideal_power(n: int, q: int) -> MonomialIdeal:
@@ -152,9 +149,10 @@ def maximal_ideal_power(n: int, q: int) -> MonomialIdeal:
 
 def is_zero_dimensional(J: MonomialIdeal) -> bool:
     """True iff every variable has a pure-power generator (quotient is finite)."""
-    for i in range(J.n):
-        if not any(all(g[j] == 0 for j in range(J.n) if j != i) for g in J.gens):
-            return False
+    try:
+        pure_power_degrees(J)
+    except DimensionError:
+        return False
     return True
 
 

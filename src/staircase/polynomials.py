@@ -19,7 +19,7 @@ from numbers import Rational
 from typing import Literal
 
 from .errors import FormatError, ResourceError
-from .ideals import Exponent, MonomialIdeal, _validate_exponent, exp_add
+from .ideals import Exponent, MonomialIdeal, _validate_exponent, exp_add, monomials_of_degree
 
 
 def _validate_coefficient(c) -> Fraction:
@@ -108,20 +108,14 @@ def _linear_power(image: list[tuple[int, int]], p: int, n: int) -> Terms:
             f"more than the limit of {MAX_POWER_TERMS}"
         )
     out: Terms = {}
-
-    def expand(i: int, left: int, e: list[int], coeff: int) -> None:
-        k, c = image[i]
-        if i == r - 1:
-            e[k] = left
-            out[tuple(e)] = coeff * c**left
-            e[k] = 0
-            return
-        for a in range(left + 1):
+    e = [0] * n  # each pass sets every image term's entry; the rest stay 0
+    for degrees in monomials_of_degree(r, p):  # how p splits over the image's terms, lexicographically
+        coeff, left = 1, p
+        for (k, c), a in zip(image, degrees):
             e[k] = a
-            expand(i + 1, left - a, e, coeff * comb(left, a) * c**a)
-        e[k] = 0
-
-    expand(0, p, [0] * n, 1)
+            coeff *= comb(left, a) * c**a
+            left -= a
+        out[tuple(e)] = coeff
     return out
 
 

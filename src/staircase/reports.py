@@ -7,7 +7,6 @@ never as a float, so equalities in the reports are bit-exact.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .ideal_io import digit_limit_error, format_rational
 from .invariants import Codim2Report, ZeroDimReport
@@ -20,6 +19,16 @@ def _gens_compact(ideal) -> str:
     return ";".join(",".join(str(c) for c in g) for g in ideal.gens)
 
 
+def _bounds(r, *names: str) -> dict:
+    """<name>_lhs, <name>_rhs and <name>_slack = lhs - rhs of each named bound of the report r, in order."""
+    out = {}
+    for name in names:
+        lhs, rhs = getattr(r, f"{name}_lhs"), getattr(r, f"{name}_rhs")
+        out[f"{name}_lhs"], out[f"{name}_rhs"] = format_rational(lhs), format_rational(rhs)
+        out[f"{name}_slack"] = format_rational(lhs - rhs)
+    return out
+
+
 def zero_dim_report_dict(r: ZeroDimReport) -> dict:
     return {
         "ideal": _gens_compact(r.ideal),
@@ -29,15 +38,7 @@ def zero_dim_report_dict(r: ZeroDimReport) -> dict:
         "length": r.length,
         "covolume": format_rational(r.covol),
         "multiplicity": format_rational(r.mult),
-        "length_volume_lhs": format_rational(r.length_volume_lhs),
-        "length_volume_rhs": format_rational(r.length_volume_rhs),
-        "length_volume_slack": format_rational(r.length_volume_lhs - r.length_volume_rhs),
-        "length_diagonal_lhs": format_rational(r.length_diagonal_lhs),
-        "length_diagonal_rhs": format_rational(r.length_diagonal_rhs),
-        "length_diagonal_slack": format_rational(r.length_diagonal_lhs - r.length_diagonal_rhs),
-        "mult_diagonal_lhs": format_rational(r.mult_diagonal_lhs),
-        "mult_diagonal_rhs": format_rational(r.mult_diagonal_rhs),
-        "mult_diagonal_slack": format_rational(r.mult_diagonal_lhs - r.mult_diagonal_rhs),
+        **_bounds(r, "length_volume", "length_diagonal", "mult_diagonal"),
         "closure_equality": r.closure_equality,
         "closure_power_q": r.closure_power_q,
         "violations": list(r.violations()),
@@ -54,15 +55,7 @@ def codim2_report_dict(r: Codim2Report) -> dict:
         "mu": format_rational(r.mu),
         "primitive_length": r.primitive_length,
         "primitive_mult": format_rational(r.primitive_mult),
-        "primitive_length_lhs": format_rational(r.primitive_length_lhs),
-        "primitive_length_rhs": format_rational(r.primitive_length_rhs),
-        "primitive_length_slack": format_rational(r.primitive_length_lhs - r.primitive_length_rhs),
-        "mult_bound_lhs": format_rational(r.mult_bound_lhs),
-        "mult_bound_rhs": format_rational(r.mult_bound_rhs),
-        "mult_bound_slack": format_rational(r.mult_bound_lhs - r.mult_bound_rhs),
-        "sharp_bound_lhs": format_rational(r.sharp_bound_lhs),
-        "sharp_bound_rhs": format_rational(r.sharp_bound_rhs),
-        "sharp_bound_slack": format_rational(r.sharp_bound_lhs - r.sharp_bound_rhs),
+        **_bounds(r, "primitive_length", "mult_bound", "sharp_bound"),
         "sharp_equality": r.sharp_equality,
         "boundary_closure_ok": r.boundary_closure_ok,
         "violations": list(r.violations()),
@@ -95,8 +88,6 @@ def _tsv_cell(value, sep: str = ";") -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, (list, tuple)):
         inner = "," if sep == ";" else ";"
         return sep.join(_tsv_cell(v, inner) for v in value)

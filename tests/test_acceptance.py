@@ -35,8 +35,9 @@ from staircase import (
     initial_ideal_truncated,
     integral_closure,
     is_power_of_maximal,
+    least_certified_mu,
     maximal_ideal_power,
-    mu_upper_bound,
+    mu_upper_bound_details,
     multiplicity,
     random_ideal,
     verify_codim2,
@@ -205,5 +206,5 @@ def test_acceptance_7_mu_upper_bound_attained(capsys):
                 RationalPolynomial(2, {(0, 4): 1, (2, 3): 1}),
             ),
         )
-        assert mu_upper_bound(I, trials=8, seed=0) == 3
+        assert least_certified_mu(mu_upper_bound_details(I, trials=8, seed=0)) == 3
         t.assert_within_budget()

@@ -30,7 +30,7 @@ from staircase import (
     default_order,
     initial_ideal,
     initial_ideal_truncated,
-    mu_upper_bound,
+    least_certified_mu,
     tangent_cone_initial,
 )
 from staircase.degeneration import _base_trials, _shear_matrix, _split_content, mu_upper_bound_details
@@ -382,6 +382,15 @@ class TestIntegerCore:
         assert len(J.gens) > 1
         assert built == []  # the basis comes back as integer term maps
 
+    def test_one_term_image_power_is_built_in_one_step(self):
+        # a lower-triangular shear keeps x1's image x1, at any exponent
+        a = 10**100
+        assert substitute_linear({(a, 1): 1}, [[1, 0], [2, 1]]) == {(a + 1, 0): 2, (a, 1): 1}
+
+    def test_buchberger_refuses_an_empty_ideal(self):
+        with pytest.raises(FormatError, match="no nonzero generators"):
+            buchberger(({},), MonomialOrder())
+
     def test_product_of_powers_is_charged_before_it_is_built(self):
         # x2^1999 and x3^61 map to powers of 2,000 and 1,953 terms, each within
         # the limit; their product of degree 2,060 is refused before it is built
@@ -513,16 +522,16 @@ class TestOracleEquivalence:
 
 class TestMuUpperBound:
     def test_boundary_ideal_attains_three(self):
-        assert mu_upper_bound(BOUNDARY_IDEAL, trials=8, seed=0) == 3
+        assert least_certified_mu(mu_upper_bound_details(BOUNDARY_IDEAL, trials=8, seed=0)) == 3
 
     def test_monomial_input_exact(self):
         J = MonomialIdeal(2, [(6, 0), (0, 2)])
-        assert mu_upper_bound(PolyIdeal.from_monomial(J)) == compute_mu(J).mu
+        assert least_certified_mu(mu_upper_bound_details(PolyIdeal.from_monomial(J))) == compute_mu(J).mu
 
     def test_weakly_decreasing_in_trials(self):
         I = random_origin_ideal(99, 2)
-        b2 = mu_upper_bound(I, trials=2, seed=5)
-        b6 = mu_upper_bound(I, trials=6, seed=5)
+        b2 = least_certified_mu(mu_upper_bound_details(I, trials=2, seed=5))
+        b6 = least_certified_mu(mu_upper_bound_details(I, trials=6, seed=5))
         assert b6 <= b2
 
     def test_bound_dominates_true_value_on_monomial_corpus(self):
@@ -531,13 +540,13 @@ class TestMuUpperBound:
 
         for i in range(6):
             J = random_ideal(seed=60 + i, n=2, max_exp=4, max_gens=4, force_zero_dim=True)
-            bound = mu_upper_bound(PolyIdeal.from_monomial(J), trials=3, seed=1)
+            bound = least_certified_mu(mu_upper_bound_details(PolyIdeal.from_monomial(J), trials=3, seed=1))
             assert bound == compute_mu(J).mu
 
     def test_monomial_factor_bounded(self):
         # principal x y (1 + x y): locally the ideal (x y), whose entry value is 1
         I = PolyIdeal(2, (P(2, (1, (1, 1)), (1, (2, 2))),))
-        assert mu_upper_bound(I, trials=2, seed=0) == 1
+        assert least_certified_mu(mu_upper_bound_details(I, trials=2, seed=0)) == 1
 
     def test_non_monomial_common_factor_rejected(self):
         I = PolyIdeal(
@@ -545,7 +554,7 @@ class TestMuUpperBound:
             (P(2, (1, (2, 0)), (1, (1, 1))), P(2, (1, (1, 2)), (1, (0, 3)))),
         )
         with pytest.raises(NotZeroDimensionalError):
-            mu_upper_bound(I, trials=2, seed=0, budget=8)
+            least_certified_mu(mu_upper_bound_details(I, trials=2, seed=0, budget=8))
 
 
 def _fraction_pivots(rows, ncols):

@@ -472,6 +472,15 @@ PINNED_DIGESTS = {
     ("degenerate", "--input", "origin-c.json"): "157ff32b9216a5c9a9065fc1424cfee80b6f1242aa65e5f17bffa2cd2ce8b158",
     # recorded before gen-corpus lost its unread --input and --format
     ("gen-corpus", "--seed", "3", "--count", "20", "--dim", "3", "--mixed"): "282ae7ddcf6d7c096d208bea737dacd4de3dc7df32801bb1f248ac96c20e2d59",
+    # recorded before the TSV writer lost its Fraction branch, the report
+    # bound triples got one builder and the shears one power expansion
+    ("verify", "--seed", "0", "--count", "40", "--dim", "3", "--format", "tsv"): "98f37ed655f62448f7827dd716d83f43876798df41170559d90925a8e8e4ff8d",
+    ("codim2", "--seed", "0", "--count", "40", "--format", "tsv"): "12d7456ce157fbc3a3f375860fad6a1f7389699075440cda2b596057abe54ad7",
+    ("codim2", "--seed", "0", "--count", "40"): "283e4a3cadb2c338843e5e0da8c81a989d46cc3a6bfd1cd7f338a51dac5766f8",
+    ("degenerate", "--format", "tsv", "--input", "poly.json"): "3ad05a33d38af0a4351b61a12ef1759533f358feb3e871e66e33618b4424caf9",
+    ("mult", "--t-max", "3", "--input", "closure.json"): "86c7a49dd588e69dbc34f6659f4c0b3ecd1405cf99ca25a7b379d55f5b6943cc",
+    ("degenerate", "--input", "monomial.json"): "b4dbae7c17eb21bb5459d0f614f4ba8b75c10e1b48bdc25332bfe13773fa033d",
+    ("mu-bound", "--input", "monomial.json"): "afe13a020aafadbaaa74f51f671414965209a7d32194f4afd5dedf6a4224eacb",
 }
 CLOSURE_CORPUS = {
     "kind": "corpus",
@@ -497,6 +506,8 @@ PINNED_INPUTS = {
     "origin-a.json": ideal_to_document(random_origin_ideal(mix(4242, 1), 3)),
     "origin-b.json": ideal_to_document(random_origin_ideal(mix(515, 3), 3)),
     "origin-c.json": ideal_to_document(random_origin_ideal(mix(4242, 2), 2)),
+    "poly.json": POLY_DOC,
+    "monomial.json": {"vars": 2, "kind": "monomial", "generators": [[6, 0], [0, 2]]},  # PolyIdeal.from_monomial in degenerate and mu-bound
 }
 
 
@@ -542,6 +553,38 @@ def test_each_command_takes_exactly_its_flags():
         for name, p in sub.choices.items()
     }
     assert flags == COMMAND_FLAGS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--count", "-3"),
+        ("codim2", "--count", "-1"),
+        ("mu-bound", "--trials", "-2"),
+        ("mult", "--t-max", "-3"),
+        ("degenerate", "--budget", "-1"),
+        ("degenerate", "--budget", "1"),  # the N search starts at 2
+        ("mu-bound", "--budget", "1"),
+    ],
+    ids=" ".join,
+)
+def test_numeric_flags_refuse_values_below_their_domain(capsys, argv):
+    command, flag, _ = argv
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: staircase {command} ")
+    assert f"staircase {command}: error: argument {flag}: must be at least {2 if flag == '--budget' else 0}" in err
+
+
+@pytest.mark.parametrize("command, flag", [("verify", "--count"), ("mu-bound", "--trials"), ("mult", "--t-max"), ("degenerate", "--budget")])
+def test_numeric_flags_keep_the_int_message(capsys, command, flag):
+    code, _, err = run_cli(capsys, command, flag, "x")
+    assert code == 2 and f"argument {flag}: invalid int value: 'x'" in err
+
+
+def test_numeric_flag_bounds_are_inclusive(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--count", "0")
+    assert code == 0 and json.loads(out)["reports"] == []
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help layout was recorded under Python 3.11")
