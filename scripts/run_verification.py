@@ -10,6 +10,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+from staircase.cli import _int_at_least
 from staircase.invariants import (
     codim2_corpus,
     verify_codim2,
@@ -21,7 +22,7 @@ from staircase.invariants import (
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--count", type=int, default=500)
+    ap.add_argument("--count", type=_int_at_least(0), default=500)
     args = ap.parse_args()
 
     t0 = time.perf_counter()

@@ -17,7 +17,7 @@ from . import __version__
 from .degeneration import least_certified_mu, mu_upper_bound_details, tangent_cone
 from .errors import ConsistencyError, NotZeroDimensionalError, StaircaseError
 from .groebner import initial_ideal
-from .ideal_io import corpus_to_document, format_rational, ideal_to_document, parse_ideal_file
+from .ideal_io import corpus_to_document, ideal_to_document, parse_ideal_file
 from .ideals import MonomialIdeal, colength, integral_closure, is_power_of_maximal
 from .invariants import (
     _mix,
@@ -29,6 +29,7 @@ from .invariants import (
     verify_zero_dim,
     zero_dim_corpus,
 )
+from .macaulay import DEFAULT_BUDGET
 from .polynomials import PolyIdeal, default_order
 from .polytope import build_polytope, compute_mu
 from .reports import (
@@ -86,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("codim2", "two-variable factor bounds over a file or seeded corpus", _cmd_codim2, io, seed, count, shape)
     p = add("degenerate", "initial ideal and tangent-cone degeneration of a polynomial ideal", _cmd_degenerate, io)
     p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
-    p.add_argument("--budget", type=_BUDGET, default=24)
+    p.add_argument("--budget", type=_BUDGET, default=DEFAULT_BUDGET)
     p = add("mu-bound", "certified upper bound for mu via monomial degenerations", _cmd_mu_bound, io, seed)
-    p.add_argument("--budget", type=_BUDGET, default=24)
+    p.add_argument("--budget", type=_BUDGET, default=DEFAULT_BUDGET)
     p.add_argument("--trials", type=_NONNEGATIVE, default=8)
     p = add("gen-corpus", "emit a reproducible corpus document", _cmd_gen_corpus, seed, count, dim, shape)
     p.add_argument("--mixed", action="store_true", help="do not force zero-dimensionality")
@@ -120,13 +121,7 @@ def _load_poly(args) -> PolyIdeal:
 
 
 def _facet_dict(f) -> dict:
-    nf = f.normal_form()
-    return {
-        "coefficients": list(f.coefficients),
-        "rhs": f.rhs,
-        "bounded": f.is_bounded,
-        "intercepts": [format_rational(a) for a in nf] if nf else None,
-    }
+    return {"coefficients": f.coefficients, "rhs": f.rhs, "bounded": f.is_bounded, "intercepts": f.normal_form()}
 
 
 def _cmd_lct(args):
@@ -137,9 +132,9 @@ def _cmd_lct(args):
         reports.append(
             {
                 "ideal": _gens_compact(J),
-                "mu": format_rational(mv.mu),
-                "lct": format_rational(mv.lct) if mv.lct is not None else None,
-                "witness_coefficients": list(w.coefficients) if w else None,
+                "mu": mv.mu,
+                "lct": mv.lct,
+                "witness_coefficients": w.coefficients if w else None,
                 "witness_rhs": w.rhs if w else None,
             }
         )
@@ -153,9 +148,9 @@ def _cmd_length(args):
 def _cmd_mult(args):
     reports = []
     for J in _load_monomials(args):
-        rep = {"ideal": _gens_compact(J), "multiplicity": format_rational(multiplicity(J))}
+        rep = {"ideal": _gens_compact(J), "multiplicity": multiplicity(J)}
         if args.t_max > 0:
-            rep["limit_sequence"] = [format_rational(v) for v in multiplicity_limit_estimate(J, args.t_max)]
+            rep["limit_sequence"] = multiplicity_limit_estimate(J, args.t_max)
         reports.append(rep)
     return 0, reports, None
 
@@ -176,7 +171,7 @@ def _cmd_closure(args):
         reports.append(
             {
                 "ideal": _gens_compact(J),
-                "closure": [list(g) for g in cl.gens],
+                "closure": cl.gens,
                 "closure_power_q": is_power_of_maximal(J),
             }
         )
@@ -199,7 +194,7 @@ def _run_suite(args, corpus, check, to_dict):
         ideals, echo = corpus(), _corpus_echo(args)
     reports = [to_dict(check(J, fatal=False)) for J in ideals]
     failed = sum(1 for r in reports if r["violations"])
-    return (1 if failed else 0), reports, {"input_echo": echo, "failed": failed}
+    return (1 if failed else 0), reports, {"input": echo, "failed": failed}
 
 
 def _cmd_verify(args):
@@ -228,8 +223,8 @@ def _cmd_degenerate(args):
     report = {
         "ideal": ideal_to_document(I),
         "order": args.order,
-        "initial_ideal": [list(g) for g in init.gens],
-        "tangent_cone_initial": [list(g) for g in cone.initial.gens],
+        "initial_ideal": init.gens,
+        "tangent_cone_initial": cone.initial.gens,
         "length": length,
     }
     return 0, [report], None
@@ -240,8 +235,8 @@ def _cmd_mu_bound(args):
     details = mu_upper_bound_details(I, trials=args.trials, seed=args.seed, budget=args.budget)
     report = {
         "ideal": ideal_to_document(I),
-        "mu_upper_bound": format_rational(least_certified_mu(details)),
-        "trials": [{"label": label, "mu": format_rational(mu) if mu is not None else None} for label, mu in details],
+        "mu_upper_bound": least_certified_mu(details),
+        "trials": [{"label": label, "mu": mu} for label, mu in details],
     }
     return 0, [report], None
 
@@ -267,8 +262,7 @@ def main(argv=None) -> int:
         if reports is None:
             out = render_json(extra)  # gen-corpus emits its own JSON document
         else:
-            echo = extra.pop("input_echo") if extra else {"path": args.input}
-            doc = make_document(args.command, echo, reports, __version__, extra)
+            doc = make_document(args.command, {"path": args.input}, reports, __version__, extra)
             out = render_tsv(doc) if args.format == "tsv" else render_json(doc)
         sys.stdout.write(out)
         return code

@@ -23,7 +23,7 @@ from itertools import permutations
 
 from .errors import ConsistencyError, NotZeroDimensionalError, ideal_shape
 from .ideals import Exponent, MonomialIdeal, colength, exp_min, exp_sub, shift_ideal
-from .macaulay import TruncationData, certify_truncation, initial_ideal_pivots, truncation_at
+from .macaulay import DEFAULT_BUDGET, TruncationData, certify_truncation, initial_ideal_pivots, truncation_at
 from .polynomials import MonomialOrder, PolyIdeal, Terms, default_order, substitute_linear
 from .polytope import compute_mu
 
@@ -92,7 +92,7 @@ def _cone(n: int, content: tuple[int, ...], data: TruncationData) -> TangentCone
     return TangentCone(content, data, shift_ideal(inner, content) if any(content) else inner)
 
 
-def tangent_cone(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> TangentCone:
+def tangent_cone(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = DEFAULT_BUDGET) -> TangentCone:
     """Monomial degeneration: split the monomial content, degenerate the
     zero-dimensional part to the initial ideal of its tangent cone, shift back.
 
@@ -103,12 +103,12 @@ def tangent_cone(I: PolyIdeal, order: MonomialOrder | None = None, budget: int =
     return _cone(I.n, content, certify_truncation(I.n, part, order or default_order("grevlex", I.n), budget))
 
 
-def tangent_cone_initial(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> MonomialIdeal:
+def tangent_cone_initial(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = DEFAULT_BUDGET) -> MonomialIdeal:
     """Initial ideal of the tangent cone of I; see tangent_cone."""
     return tangent_cone(I, order, budget).initial
 
 
-def initial_ideal_truncated(I: PolyIdeal, order: MonomialOrder, budget: int = 24) -> MonomialIdeal:
+def initial_ideal_truncated(I: PolyIdeal, order: MonomialOrder, budget: int = DEFAULT_BUDGET) -> MonomialIdeal:
     """Initial ideal of I via the truncation oracle (degree-compatible orders).
 
     Independent of Buchberger's algorithm; for ideals supported at the
@@ -117,7 +117,7 @@ def initial_ideal_truncated(I: PolyIdeal, order: MonomialOrder, budget: int = 24
     return initial_ideal_pivots(I.n, I.integer_generators, order, budget)
 
 
-def check_length_preservation(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = 24) -> LengthCheck:
+def check_length_preservation(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = DEFAULT_BUDGET) -> LengthCheck:
     """TangentCone.length_check of I.  A monomial factor in n >= 2 variables
     raises NotZeroDimensionalError before any truncation runs."""
     content, part = _split_content(I.integer_generators)
@@ -170,7 +170,7 @@ def _is_identity(matrix: list[list[int]]) -> bool:
 
 
 def mu_upper_bound_details(
-    I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = 24
+    I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[str, Fraction | None]]:
     """Per-trial mu values (None when the trial's certificate failed).
 

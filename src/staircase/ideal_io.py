@@ -37,7 +37,9 @@ def digit_limit_error() -> ResourceError:
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
+    """An int or Fraction as "p/q", or "p" for an integer; as render_json's hook, it refuses any other value."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"Object of type {type(x).__name__} is not a rational")
     try:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     except ValueError:

@@ -35,9 +35,7 @@ from .polytope import compute_mu, covolume
 
 
 def multiplicity(J: MonomialIdeal) -> Fraction:
-    """Samuel multiplicity of a zero-dimensional monomial ideal (equals the covolume)."""
-    if not is_zero_dimensional(J):
-        raise DimensionError(f"multiplicity needs a zero-dimensional ideal, got {ideal_shape(J)}")
+    """Samuel multiplicity of a zero-dimensional monomial ideal: the covolume, which raises DimensionError otherwise."""
     return covolume(J)
 
 

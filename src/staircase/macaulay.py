@@ -45,6 +45,8 @@ from .errors import FormatError, NotZeroDimensionalError
 from .ideals import Exponent, MonomialIdeal, monomials_of_degree
 from .polynomials import MonomialOrder, Terms
 
+DEFAULT_BUDGET = 24  # the largest N a certification search tries unless told otherwise
+
 
 class _Echelon:
     """Sparse row echelon over the integers, pivoting on the smallest column index.
@@ -149,7 +151,7 @@ def truncation_at(n: int, gens: tuple[Terms, ...], N: int, order: MonomialOrder)
     )
 
 
-def certify_truncation(n: int, gens: tuple[Terms, ...], order: MonomialOrder, budget: int = 24) -> TruncationData:
+def certify_truncation(n: int, gens: tuple[Terms, ...], order: MonomialOrder, budget: int = DEFAULT_BUDGET) -> TruncationData:
     """Find the smallest N <= budget with every degree-N monomial a pivot,
     for the ideal in n variables generated by the integer term maps gens.
 
@@ -166,7 +168,7 @@ def certify_truncation(n: int, gens: tuple[Terms, ...], order: MonomialOrder, bu
     )
 
 
-def initial_ideal_pivots(n: int, gens: tuple[Terms, ...], order: MonomialOrder, budget: int = 24) -> MonomialIdeal:
+def initial_ideal_pivots(n: int, gens: tuple[Terms, ...], order: MonomialOrder, budget: int = DEFAULT_BUDGET) -> MonomialIdeal:
     """Initial ideal, via truncation, of the ideal in n variables generated
     by the integer term maps gens; degree-compatible orders only.
 

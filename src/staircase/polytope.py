@@ -185,9 +185,9 @@ class NewtonPolytope:
         return lp_feasible(A, b)
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=32)
 def build_polytope(J: MonomialIdeal) -> NewtonPolytope:
-    """Newton polytope of a monomial ideal (cached; ideals are immutable)."""
+    """Newton polytope of a monomial ideal (cached, as ideals are immutable, for what one command reuses)."""
     return NewtonPolytope(J.n, J.gens)
 
 

@@ -1,7 +1,9 @@
 """Report documents: deterministic JSON and flat TSV with exact rationals.
 
-Every rational is serialized as "p/q" (or "p" for integers) in both formats,
-never as a float, so equalities in the reports are bit-exact.
+Reports hold the Fractions and tuples their builders computed; the renderers
+alone turn them into text.  Every rational is serialized as "p/q" (or "p" for
+integers) in both formats, never as a float, so equalities in the reports are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ def _bounds(r, *names: str) -> dict:
     out = {}
     for name in names:
         lhs, rhs = getattr(r, f"{name}_lhs"), getattr(r, f"{name}_rhs")
-        out[f"{name}_lhs"], out[f"{name}_rhs"] = format_rational(lhs), format_rational(rhs)
-        out[f"{name}_slack"] = format_rational(lhs - rhs)
+        out[f"{name}_lhs"], out[f"{name}_rhs"], out[f"{name}_slack"] = lhs, rhs, lhs - rhs
     return out
 
 
@@ -33,15 +34,15 @@ def zero_dim_report_dict(r: ZeroDimReport) -> dict:
     return {
         "ideal": _gens_compact(r.ideal),
         "n": r.n,
-        "mu": format_rational(r.mu),
-        "lct": format_rational(1 / r.mu) if r.mu else None,
+        "mu": r.mu,
+        "lct": 1 / r.mu if r.mu else None,
         "length": r.length,
-        "covolume": format_rational(r.covol),
-        "multiplicity": format_rational(r.mult),
+        "covolume": r.covol,
+        "multiplicity": r.mult,
         **_bounds(r, "length_volume", "length_diagonal", "mult_diagonal"),
         "closure_equality": r.closure_equality,
         "closure_power_q": r.closure_power_q,
-        "violations": list(r.violations()),
+        "violations": r.violations(),
     }
 
 
@@ -52,23 +53,23 @@ def codim2_report_dict(r: Codim2Report) -> dict:
         "b2": r.b2,
         "b_vector": ",".join(str(c) for c in r.b_vector),
         "factor_mult": r.factor_mult,
-        "mu": format_rational(r.mu),
+        "mu": r.mu,
         "primitive_length": r.primitive_length,
-        "primitive_mult": format_rational(r.primitive_mult),
+        "primitive_mult": r.primitive_mult,
         **_bounds(r, "primitive_length", "mult_bound", "sharp_bound"),
         "sharp_equality": r.sharp_equality,
         "boundary_closure_ok": r.boundary_closure_ok,
-        "violations": list(r.violations()),
+        "violations": r.violations(),
     }
 
 
-def make_document(command: str, input_echo, reports: list[dict], version: str, extra: dict | None = None) -> dict:
+def make_document(command: str, echo: dict, reports: list[dict], version: str, extra: dict | None = None) -> dict:
     doc = {
         "tool": TOOL_NAME,
         "version": version,
         "schema": SCHEMA_VERSION,
         "command": command,
-        "input": input_echo,
+        "input": echo,
     }
     if extra:
         doc.update(extra)
@@ -78,7 +79,7 @@ def make_document(command: str, input_echo, reports: list[dict], version: str, e
 
 def render_json(doc: dict) -> str:
     try:
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, default=format_rational) + "\n"
     except ValueError:  # an int past Python's int-to-text limit
         raise digit_limit_error() from None
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import mix, random_origin_ideal
-from staircase import MonomialIdeal, ParseError, PolyIdeal
+from staircase import ConsistencyError, MonomialIdeal, ParseError, PolyIdeal
 from staircase.cli import build_parser, main
 from staircase.ideal_io import (
     format_rational,
@@ -33,6 +35,10 @@ POLY_DOC = {
         [{"coeff": "1", "exp": [0, 2]}, {"coeff": "1", "exp": [2, 1]}],
     ],
 }
+
+
+# report fields that hold a rational besides the <name>_lhs/_rhs/_slack triples
+RATIONAL_FIELDS = ("mu", "lct", "covolume", "multiplicity", "primitive_mult")
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +121,16 @@ class TestFormat:
         assert format_rational(Fraction(3, 2)) == "3/2"
         assert format_rational(Fraction(-4, 2)) == "-2"
         assert parse_rational("7/3") == Fraction(7, 3)
+
+    def test_rational_formatting_refuses_other_values(self):
+        # format_rational is render_json's hook, so a stray report value fails loudly
+        from staircase.reports import render_json
+
+        for value in (1.5, "3/2", None, object()):
+            with pytest.raises(TypeError, match="is not a rational"):
+                format_rational(value)
+        with pytest.raises(TypeError, match="is not a rational"):
+            render_json({"reports": [{"value": object()}]})
 
     @pytest.mark.parametrize("text", ["1e5", "1.5", "1_000", " 3", "3/-4", "1e3000000"])
     def test_rational_other_forms_rejected(self, text):
@@ -220,6 +236,19 @@ class TestCli:
             assert row["mu"] == rep["mu"]
             assert row["covolume"] == rep["covolume"]
             assert row["length_volume_slack"] == rep["length_volume_slack"]
+
+    @pytest.mark.parametrize("argv", [("verify", "--dim", "2"), ("verify", "--dim", "4"), ("codim2",)], ids=" ".join)
+    def test_suite_rationals_render_as_strings(self, capsys, argv):
+        # the builders hand on Fractions and the renderer formats them, so a
+        # field that became an int would print as a JSON number here
+        rational = re.compile(r"-?\d+(/\d+)?")
+        code, out, _ = run_cli(capsys, *argv, "--seed", "5", "--count", "20")
+        assert code == 0
+        for rep in json.loads(out)["reports"]:
+            keys = [k for k in rep if k in RATIONAL_FIELDS or k.endswith(("_lhs", "_rhs", "_slack"))]
+            assert len(keys) >= 11
+            for key in keys:
+                assert isinstance(rep[key], str) and rational.fullmatch(rep[key]), key
 
     def test_degenerate_with_monomial_factor(self, capsys, poly_file):
         code, out, _ = run_cli(capsys, "degenerate", "--input", poly_file)
@@ -335,6 +364,24 @@ class TestCli:
         assert doc["failed"] == 3
         assert all("mult_diagonal" in r["violations"] for r in doc["reports"])
 
+    @pytest.mark.parametrize("command, check", [("verify", "verify_zero_dim"), ("codim2", "verify_codim2")])
+    def test_suite_report_dumps_counterexample(self, capsys, monkeypatch, simple_file, command, check):
+        # a fatal suite check hands its report, Fractions and all, to the dump
+        from staircase import cli
+
+        real_check = getattr(cli, check)
+
+        def fatal(J, *, fatal=True):
+            raise ConsistencyError("doctored failure", report=real_check(J, fatal=False))
+
+        monkeypatch.setattr(cli, check, fatal)
+        code, out, _ = run_cli(capsys, command, "--input", simple_file)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "doctored failure"
+        assert doc["counterexample"]["mu"] == "3/2"
+        assert doc["counterexample"]["ideal"] == {"n": 2, "gens": [[0, 2], [6, 0]]}
+
     def test_length_mismatch_dumps_counterexample(self, capsys, monkeypatch, tmp_path):
         # the boundary ideal x2^2 (x1^6, x2^2) has infinite length, so the
         # length check runs on the perturbed primitive part (x1^6, x2^2 + x1^2 x2)
@@ -413,6 +460,30 @@ class TestCliProcess:
         code, out, err = run_cli(capsys, "closure", "--input", str(path))
         assert code == 2 and out == "" and "budget" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_rational_past_the_digit_limit_exits_2(self, capsys, tmp_path, fmt):
+        # the exponent prints, but the multiplicity a^2 has more digits than Python converts
+        a = 10 ** (sys.get_int_max_str_digits() // 2 + 350)
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"vars": 2, "kind": "monomial", "generators": [[a, 0], [0, a]]}))
+        code, out, err = run_cli(capsys, "mult", "--format", fmt, "--input", str(path))
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("staircase mult: ") and "digits" in err
+
+    def test_polytope_cache_does_not_keep_a_corpus_alive(self, capsys, tmp_path):
+        from staircase.polytope import NewtonPolytope, build_polytope
+
+        items = [{"vars": 2, "kind": "monomial", "generators": [[k + 2, 0], [0, 3], [1, 1]]} for k in range(40)]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({"kind": "corpus", "items": items}))
+        points = {tuple(sorted(tuple(g) for g in item["generators"])) for item in items}
+        build_polytope.cache_clear()
+        code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 0 and len(json.loads(out)["reports"]) == 40
+        gc.collect()
+        alive = [o for o in gc.get_objects() if isinstance(o, NewtonPolytope) and o.points in points]
+        assert 0 < len(alive) <= 32
+
     def test_mu_bound_on_a_huge_one_variable_exponent(self, tmp_path):
         # x^a + x^(a-1) = x^(a-1) (x + 1): the identity shears repeat the grevlex
         # base order, so nothing is expanded to the power a
@@ -481,6 +552,18 @@ PINNED_DIGESTS = {
     ("mult", "--t-max", "3", "--input", "closure.json"): "86c7a49dd588e69dbc34f6659f4c0b3ecd1405cf99ca25a7b379d55f5b6943cc",
     ("degenerate", "--input", "monomial.json"): "b4dbae7c17eb21bb5459d0f614f4ba8b75c10e1b48bdc25332bfe13773fa033d",
     ("mu-bound", "--input", "monomial.json"): "afe13a020aafadbaaa74f51f671414965209a7d32194f4afd5dedf6a4224eacb",
+    # recorded before the report builders stopped formatting rationals and
+    # copying tuples, which render_json and render_tsv now do alone
+    ("lct", "--input", "mixed.json"): "fa8dab22fdabc6deada4bfcc3b1c9c338d280ccac402776c1f607a067d1447c1",
+    ("lct", "--format", "tsv", "--input", "mixed.json"): "ea86d833212825914947c42728f1310f41ae028ae4219fbadf61ffefea8bd282",
+    ("polytope", "--input", "mixed.json"): "42f1003331298f82e450dc6c69d5bcc27c80e7045bfe31111e50843a6698d06a",
+    ("polytope", "--format", "tsv", "--input", "mixed.json"): "2ca88149fbff334a7f405c0ea4b5131731d95598ef7342e1bd3c9c3a9d269296",
+    ("lct", "--input", "closure.json"): "954d957a462a1754bbb8721535785172f618aa4bc9e16b4cbc8191b70dcb26f9",
+    ("length", "--format", "tsv", "--input", "closure.json"): "680466dc34c07a59921102ddafef97539442eb4ea273ed85d8e2779eaafdbbd2",
+    ("mult", "--input", "closure.json"): "69a42835c584c79018241ca481396db6ae1e467488bf07fcd5ca610b0f53970d",
+    ("polytope", "--format", "tsv", "--input", "closure.json"): "15bf9ee3fe1c6ef46729f62d78ad9278dd8432113fa8ee84eb962d47946a737a",
+    ("closure", "--format", "tsv", "--input", "closure.json"): "2a6763b1c8fbd7db5987d935e7bbd5edfcfddf2335ac868e104298916a5a7c4c",
+    ("mu-bound", "--format", "tsv", "--input", "worked.json"): "41f7bc53433e667a8c0fe35e8d79295d01d1cf6da112dcf4fcbbc291ba4d21dd",
 }
 CLOSURE_CORPUS = {
     "kind": "corpus",
@@ -508,6 +591,14 @@ PINNED_INPUTS = {
     "origin-c.json": ideal_to_document(random_origin_ideal(mix(4242, 2), 2)),
     "poly.json": POLY_DOC,
     "monomial.json": {"vars": 2, "kind": "monomial", "generators": [[6, 0], [0, 2]]},  # PolyIdeal.from_monomial in degenerate and mu-bound
+    "mixed.json": {  # the unit ideal (mu 0, no lct), a principal ideal (no intercepts) and a bounded facet
+        "kind": "corpus",
+        "items": [
+            {"vars": 2, "kind": "monomial", "generators": [[0, 0]]},
+            {"vars": 2, "kind": "monomial", "generators": [[2, 3]]},
+            {"vars": 2, "kind": "monomial", "generators": [[6, 0], [0, 2]]},
+        ],
+    },
 }
 
 

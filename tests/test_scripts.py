@@ -39,3 +39,9 @@ def test_run_verification():
     assert out[0].startswith("zero-dimensional suite: 20 ideals")
     assert any(line.startswith("two-variable suite: 20 ideals") for line in out)
     assert out.count("  violations: 0") == 2
+
+
+def test_run_verification_refuses_a_negative_count():
+    proc = run_script("run_verification.py", "--count", "-5")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "argument --count: must be at least 0" in proc.stderr
