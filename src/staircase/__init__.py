@@ -34,7 +34,6 @@ from .ideals import (
     is_power_of_maximal,
     is_zero_dimensional,
     maximal_ideal_power,
-    minimalize,
     shift_ideal,
 )
 from .polytope import FacetInequality, MuValue, NewtonPolytope, build_polytope, compute_mu, covolume

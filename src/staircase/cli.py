@@ -54,7 +54,7 @@ def _int_at_least(low: int):
     return parse
 
 
-_NONNEGATIVE, _BUDGET = _int_at_least(0), _int_at_least(2)  # a --budget N search starts at N = 2
+_NONNEGATIVE, _POSITIVE, _BUDGET = _int_at_least(0), _int_at_least(1), _int_at_least(2)  # a --budget N search starts at N = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--format", choices=("json", "tsv"), default="json")
     seed.add_argument("--seed", type=int, default=0)
     count.add_argument("--count", type=_NONNEGATIVE, default=100)
-    dim.add_argument("--dim", type=int, default=2)
-    shape.add_argument("--max-exp", type=int, default=10)
-    shape.add_argument("--max-gens", type=int, default=8)
+    dim.add_argument("--dim", type=_POSITIVE, default=2)
+    shape.add_argument("--max-exp", type=_POSITIVE, default=10)
+    shape.add_argument("--max-gens", type=_POSITIVE, default=8)
 
     def add(name, help_text, run, *parents):
         p = sub.add_parser(name, help=help_text, parents=list(parents))

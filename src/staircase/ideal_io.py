@@ -10,7 +10,7 @@ Polynomial kind (coefficients are nonzero rationals as "p/q" or "p" strings):
      "generators": [[{"coeff": "1", "exp": [6, 0]}],
                     [{"coeff": "1", "exp": [0, 2]}, {"coeff": "1", "exp": [2, 1]}]]}
 
-A corpus document bundles several ideals: {"kind": "corpus", "items": [...]}.
+A corpus document bundles zero or more ideals: {"kind": "corpus", "items": [...]}.
 Parsing canonicalizes (monomial generators are minimalized, polynomial terms
 sorted), so parse -> serialize is idempotent.
 """
@@ -146,8 +146,8 @@ def parse_ideal_text(text: str, context: str = "$") -> list[MonomialIdeal | Poly
         raise ParseError("arrays or objects are nested too deeply", context) from None
     if isinstance(doc, dict) and doc.get("kind") == "corpus":
         items = doc.get("items")
-        if not isinstance(items, list) or not items:
-            raise ParseError("'items' must be a nonempty list", f"{context}.items")
+        if not isinstance(items, list):  # an empty corpus holds zero ideals
+            raise ParseError("'items' must be a list", f"{context}.items")
         return [document_to_ideal(item, f"{context}.items[{i}]") for i, item in enumerate(items)]
     return [document_to_ideal(doc, context)]
 

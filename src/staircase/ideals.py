@@ -125,11 +125,6 @@ class MonomialIdeal:
         return all(self.contains_exponent(g) for g in other.gens)
 
 
-def minimalize(gens, n: int) -> MonomialIdeal:
-    """Normalize a generator set to the minimal antichain presentation."""
-    return MonomialIdeal(n, tuple(tuple(g) for g in gens))
-
-
 def monomials_of_degree(n: int, d: int) -> tuple[Exponent, ...]:
     """All exponent vectors in n >= 1 variables of total degree d, sorted lexicographically, each built in O(n)."""
     heads = [((), d)]  # (leading entries, degree left for the rest)

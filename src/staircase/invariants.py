@@ -27,11 +27,10 @@ from .ideals import (
     colength,
     factor_out_gcd,
     ideal_product,
-    integral_closure,
     is_power_of_maximal,
     is_zero_dimensional,
 )
-from .polytope import compute_mu, covolume
+from .polytope import build_polytope, compute_mu, covolume
 
 
 def multiplicity(J: MonomialIdeal) -> Fraction:
@@ -190,7 +189,10 @@ class Codim2Report:
 def _boundary_closure_holds(primitive: MonomialIdeal, b_vec: tuple[int, int], mu: Fraction) -> bool:
     """Check closure(I) = x^b * closure((x1^(2mu-2b1), x2^(2mu-2b2))) for
     I = x^b * primitive in the equality case, as closure(primitive) = the
-    corner's closure (x^b translates a closure); 2 mu must be an integer."""
+    corner's closure (x^b translates a closure); 2 mu must be an integer.
+    A closure is the set of lattice points of the Newton polyhedron, whose
+    vertices are generators, so closures agree exactly when polyhedra do; the
+    facets are stored primitive and sorted, so comparing facets decides it."""
     two_mu = 2 * mu
     if two_mu.denominator != 1:
         return False
@@ -198,7 +200,7 @@ def _boundary_closure_holds(primitive: MonomialIdeal, b_vec: tuple[int, int], mu
     if any(ki < 0 for ki in k):
         return False
     corner = MonomialIdeal(2, ((k[0], 0), (0, k[1])))
-    return integral_closure(corner) == integral_closure(primitive)
+    return build_polytope(corner).facets == build_polytope(primitive).facets
 
 
 def verify_codim2(I: MonomialIdeal, *, fatal: bool = True) -> Codim2Report:

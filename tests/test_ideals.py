@@ -27,7 +27,6 @@ from staircase import (
     is_power_of_maximal,
     is_zero_dimensional,
     maximal_ideal_power,
-    minimalize,
     shift_ideal,
 )
 from staircase import ideals as ideals_module
@@ -49,14 +48,14 @@ def gen_sets(n, max_exp=6, max_gens=5):
 
 class TestMinimalize:
     def test_divisible_generator_dropped(self):
-        assert minimalize([(2, 0), (2, 1), (0, 3)], 2).gens == ((0, 3), (2, 0))
+        assert MonomialIdeal(2, [(2, 0), (2, 1), (0, 3)]).gens == ((0, 3), (2, 0))
 
     def test_singleton(self):
-        assert minimalize([(1, 1)], 2).gens == ((1, 1),)
+        assert MonomialIdeal(2, [(1, 1)]).gens == ((1, 1),)
 
     def test_antichain_untouched(self):
         gens = [(6, 2), (0, 4), (3, 3)]
-        assert set(minimalize(gens, 2).gens) == set(gens)
+        assert set(MonomialIdeal(2, gens).gens) == set(gens)
 
     def test_zero_ideal_rejected(self):
         with pytest.raises(FormatError):
@@ -64,11 +63,11 @@ class TestMinimalize:
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(FormatError):
-            minimalize([(1, 2, 3)], 2)
+            MonomialIdeal(2, [(1, 2, 3)])
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(FormatError):
-            minimalize([(1, -1)], 2)
+            MonomialIdeal(2, [(1, -1)])
 
     def test_integer_likes_accepted_through_index(self):
         class Index:  # what numpy integers and other integer types provide
@@ -165,10 +164,10 @@ class TestMinimalize:
 
     @given(gen_sets(2), st.permutations(range(5)))
     def test_idempotent_and_order_insensitive(self, gens, perm):
-        J = minimalize(gens, 2)
-        assert minimalize(J.gens, 2) == J
+        J = MonomialIdeal(2, gens)
+        assert MonomialIdeal(2, J.gens) == J
         reordered = [gens[i % len(gens)] for i in perm] + gens
-        assert minimalize(reordered, 2) == J
+        assert MonomialIdeal(2, reordered) == J
 
 
 class TestZeroDimensional:
@@ -245,7 +244,7 @@ class TestProductPower:
 
     @given(gen_sets(2, max_exp=4, max_gens=4), st.integers(1, 4), st.integers(1, 4))
     def test_power_additivity(self, gens, s, t):
-        J = minimalize(gens, 2)
+        J = MonomialIdeal(2, gens)
         assert ideal_power(J, s + t) == ideal_product(ideal_power(J, s), ideal_power(J, t))
 
 
@@ -265,7 +264,7 @@ class TestGcdFactorization:
 
     @given(gen_sets(3, max_exp=5, max_gens=4))
     def test_roundtrip(self, gens):
-        J = minimalize(gens, 3)
+        J = MonomialIdeal(3, gens)
         fac = factor_out_gcd(J)
         assert not any(
             all(g[i] > 0 for g in fac.primitive.gens) for i in range(3)
@@ -288,15 +287,15 @@ class TestIntegralClosure:
 
     @given(gen_sets(2, max_exp=6, max_gens=4))
     def test_extensive_and_idempotent(self, gens):
-        J = minimalize(gens, 2)
+        J = MonomialIdeal(2, gens)
         cl = integral_closure(J)
         assert cl.contains_ideal(J)
         assert integral_closure(cl) == cl
 
     @given(gen_sets(2, max_exp=5, max_gens=3), gen_sets(2, max_exp=5, max_gens=3))
     def test_monotone(self, gens_a, gens_b):
-        A = minimalize(gens_a, 2)
-        B = minimalize(gens_a + gens_b, 2)  # B contains A
+        A = MonomialIdeal(2, gens_a)
+        B = MonomialIdeal(2, gens_a + gens_b)  # B contains A
         assert integral_closure(B).contains_ideal(integral_closure(A))
 
 
@@ -399,7 +398,7 @@ class TestPowerOfMaximal:
 
     @given(st.integers(1, 3).flatmap(lambda n: gen_sets(n, max_exp=5, max_gens=6)))
     def test_property_matches_closure(self, gens):
-        J = minimalize(gens, len(gens[0]))
+        J = MonomialIdeal(len(gens[0]), gens)
         assert is_power_of_maximal(J) == closure_power_oracle(J)
 
     @given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**32))

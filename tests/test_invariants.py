@@ -22,6 +22,7 @@ from staircase import (
 )
 from staircase.ideals import factor_out_gcd, shift_ideal
 from staircase.invariants import _boundary_closure_holds, codim2_corpus, zero_dim_corpus
+from staircase.polytope import build_polytope
 
 F = Fraction
 J62 = MonomialIdeal(2, [(6, 0), (0, 2)])
@@ -248,6 +249,40 @@ def test_boundary_closure_on_the_primitive_part_matches_the_shifted_oracle(seed)
     assert equality > 50 and min(outcomes.values()) > 50
 
 
+def test_codim2_reports_need_no_closure_scan(monkeypatch):
+    from staircase import ideals, invariants
+
+    corpus = codim2_corpus(seed=0, count=200)
+    expected = [verify_codim2(J) for J in corpus]
+    assert sum(r.sharp_equality for r in expected) > 20
+
+    def no_closure(J):
+        raise AssertionError("verify_codim2 computed an integral closure")
+
+    monkeypatch.setattr(ideals, "integral_closure", no_closure)
+    monkeypatch.setattr(invariants, "integral_closure", no_closure, raising=False)  # and any copy imported into it
+    assert [verify_codim2(J) for J in corpus] == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_equal_facets_exactly_when_equal_closures(n):
+    # half the pairs add to A a generator of its closure, so the closure stays and the generators change
+    outcomes = {True: 0, False: 0}
+    rewritten = 0  # equal closures from different generators
+    for i in range(200):
+        A = random_ideal(seed=i, n=n, max_exp=8, max_gens=5, force_zero_dim=i % 3 != 0)
+        extra = [g for g in integral_closure(A).gens if not A.contains_exponent(g)]
+        if i % 2 and extra:
+            B = MonomialIdeal(n, A.gens + (extra[i % len(extra)],))
+        else:
+            B = random_ideal(seed=i + 1000, n=n, max_exp=8, max_gens=5, force_zero_dim=i % 3 != 0)
+        same = integral_closure(A) == integral_closure(B)
+        assert (build_polytope(A).facets == build_polytope(B).facets) == same, (A, B)
+        outcomes[same] += 1
+        rewritten += same and A != B
+    assert min(outcomes.values()) > 40 and rewritten > 40
+
+
 class TestRandomIdeal:
     def test_deterministic(self):
         a = random_ideal(seed=4, n=3, max_exp=7, max_gens=6, force_zero_dim=True)
@@ -290,7 +325,7 @@ def test_verify_computes_covolume_once_and_never_the_closure(monkeypatch):
         raise AssertionError("verify_zero_dim computed an integral closure")
 
     monkeypatch.setattr(invariants, "covolume", counted_covolume)
-    monkeypatch.setattr(invariants, "integral_closure", no_closure)
+    assert not hasattr(invariants, "integral_closure")
     monkeypatch.setattr(ideals, "integral_closure", no_closure)
     for J, want in zip(corpus, expected):
         covolume_calls.clear()

@@ -316,6 +316,17 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["reports"] == from_file
 
+    def test_empty_corpus_holds_zero_ideals(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "gen-corpus", "--count", "0")
+        assert code == 0
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(out)
+        code, out, _ = run_cli(capsys, "verify", "--input", str(corpus))
+        doc = json.loads(out)
+        assert (code, doc["reports"], doc["failed"]) == (0, [], 0)
+        code, out, err = run_cli(capsys, "degenerate", "--input", str(corpus))
+        assert (code, out) == (2, "") and "needs a single ideal, got a corpus of 0" in err
+
     def test_gen_corpus_rejects_tsv(self, capsys):
         code, _, err = run_cli(capsys, "gen-corpus", "--count", "2", "--format", "tsv")
         assert code == 2 and "unrecognized arguments: --format" in err
@@ -459,6 +470,16 @@ class TestCliProcess:
         path.write_text(json.dumps({"vars": 2, "kind": "monomial", "generators": [[6, 0], [0, 2]]}))
         code, out, err = run_cli(capsys, "closure", "--input", str(path))
         assert code == 2 and out == "" and "budget" in err
+
+    def test_codim2_equality_on_huge_exponents(self, capsys, tmp_path):
+        # the closure box of (x1^a, x2^a) is over the scan budget; the polyhedra decide the equality case
+        a = 2 * 10**6
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"vars": 2, "kind": "monomial", "generators": [[a, 0], [0, a]]}))
+        code, out, err = run_cli(capsys, "codim2", "--input", str(path))
+        assert code == 0, err
+        (report,) = json.loads(out)["reports"]
+        assert (report["sharp_equality"], report["boundary_closure_ok"], report["violations"]) == (True, True, [])
 
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
     def test_rational_past_the_digit_limit_exits_2(self, capsys, tmp_path, fmt):
@@ -665,6 +686,32 @@ def test_numeric_flags_refuse_values_below_their_domain(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith(f"usage: staircase {command} ")
     assert f"staircase {command}: error: argument {flag}: must be at least {2 if flag == '--budget' else 0}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--dim", "0", "--count", "0"),
+        ("verify", "--dim", "0", "--count", "1"),
+        ("gen-corpus", "--dim", "-1", "--count", "1"),
+        ("verify", "--max-exp", "0", "--count", "1"),
+        ("codim2", "--max-exp", "-5", "--count", "0"),
+        ("codim2", "--max-gens", "0", "--count", "1"),
+        ("gen-corpus", "--max-gens", "0", "--count", "0"),
+    ],
+    ids=" ".join,
+)
+def test_corpus_shape_flags_refuse_values_below_1(capsys, argv):
+    command, flag = argv[:2]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: staircase {command} ")
+    assert f"staircase {command}: error: argument {flag}: must be at least 1" in err
+
+
+def test_corpus_shape_flags_accept_1(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--dim", "1", "--max-exp", "1", "--max-gens", "1", "--count", "1")
+    assert code == 0 and len(json.loads(out)["reports"]) == 1
 
 
 @pytest.mark.parametrize("command, flag", [("verify", "--count"), ("mu-bound", "--trials"), ("mult", "--t-max"), ("degenerate", "--budget")])

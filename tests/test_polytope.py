@@ -21,7 +21,6 @@ from staircase import (
     factor_out_gcd,
     ideal_power,
     maximal_ideal_power,
-    minimalize,
 )
 from staircase.invariants import random_ideal
 
@@ -143,7 +142,7 @@ class TestMu:
 
     @given(gen_sets(2, max_exp=5, max_gens=4), st.integers(1, 4))
     def test_scaling_under_powers(self, gens, t):
-        J = minimalize(gens, 2)
+        J = MonomialIdeal(2, gens)
         assert compute_mu(ideal_power(J, t)).mu == t * compute_mu(J).mu
 
     def test_mu_at_least_max_gcd_exponent(self):
