@@ -5,6 +5,12 @@ document is printed, which signals an implementation bug), 2 usage or input
 errors (including inputs over a resource budget), 3 an unexpected error such
 as running out of memory (one line on stderr).  All reports are deterministic
 for a fixed invocation and seed.
+
+A call whose first argument names a command builds the top parser over that
+command's subparser alone, with only the flag groups the command reads; any
+other call (no arguments, -h, --version, an unknown command) builds the whole
+tree.  Both trees parse through the same top parser, so every help text, usage
+line and error message is the one the whole tree gives, byte for byte.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .degeneration import least_certified_mu, mu_upper_bound_details, tangent_cone
@@ -57,42 +64,44 @@ def _int_at_least(low: int):
 _NONNEGATIVE, _POSITIVE, _BUDGET = _int_at_least(0), _int_at_least(1), _int_at_least(2)  # a --budget N search starts at N = 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Shared flags, one group each: a command lists the groups it reads, and a
+# group's parent parser is built only for a tree that holds such a command.
+_FLAG_GROUPS = {
+    "io": (
+        ("--input", {"help": "path to an ideal or corpus document"}),
+        ("--format", {"choices": ("json", "tsv"), "default": "json"}),
+    ),
+    "seed": (("--seed", {"type": int, "default": 0}),),
+    "count": (("--count", {"type": _NONNEGATIVE, "default": 100}),),
+    "dim": (("--dim", {"type": _POSITIVE, "default": 2}),),
+    "shape": (("--max-exp", {"type": _POSITIVE, "default": 10}), ("--max-gens", {"type": _POSITIVE, "default": 8})),
+}
+_BUDGET_FLAG = ("--budget", {"type": _BUDGET, "default": DEFAULT_BUDGET})
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    for flag, kwargs in flags:
+        parser.add_argument(flag, **kwargs)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole argparse tree, or with a command name the same top parser
+    over that command's subparser alone; see the module docstring."""
     parser = argparse.ArgumentParser(prog="staircase", description="Exact invariants of monomial ideals.")
     parser.add_argument("--version", action="version", version=f"staircase {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # shared flags, one parent parser per group; each command lists the groups it reads
-    io, seed, count, dim, shape = (argparse.ArgumentParser(add_help=False) for _ in range(5))
-    io.add_argument("--input", help="path to an ideal or corpus document")
-    io.add_argument("--format", choices=("json", "tsv"), default="json")
-    seed.add_argument("--seed", type=int, default=0)
-    count.add_argument("--count", type=_NONNEGATIVE, default=100)
-    dim.add_argument("--dim", type=_POSITIVE, default=2)
-    shape.add_argument("--max-exp", type=_POSITIVE, default=10)
-    shape.add_argument("--max-gens", type=_POSITIVE, default=8)
-
-    def add(name, help_text, run, *parents):
-        p = sub.add_parser(name, help=help_text, parents=list(parents))
-        p.set_defaults(run=run)
-        return p
-
-    add("lct", "diagonal entry value mu and log canonical threshold", _cmd_lct, io)
-    p = add("mult", "Samuel multiplicity (covolume)", _cmd_mult, io)
-    p.add_argument("--t-max", type=_NONNEGATIVE, default=0, help="also report n! colength(J^t)/t^n for t = 1..t_max")
-    add("length", "colength (number of standard monomials)", _cmd_length, io)
-    add("polytope", "facet description of the Newton polytope", _cmd_polytope, io)
-    add("closure", "integral closure and maximal-power detection", _cmd_closure, io)
-    add("verify", "zero-dimensional invariant suite over a file or seeded corpus", _cmd_verify, io, seed, count, dim, shape)
-    add("codim2", "two-variable factor bounds over a file or seeded corpus", _cmd_codim2, io, seed, count, shape)
-    p = add("degenerate", "initial ideal and tangent-cone degeneration of a polynomial ideal", _cmd_degenerate, io)
-    p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
-    p.add_argument("--budget", type=_BUDGET, default=DEFAULT_BUDGET)
-    p = add("mu-bound", "certified upper bound for mu via monomial degenerations", _cmd_mu_bound, io, seed)
-    p.add_argument("--budget", type=_BUDGET, default=DEFAULT_BUDGET)
-    p.add_argument("--trials", type=_NONNEGATIVE, default=8)
-    p = add("gen-corpus", "emit a reproducible corpus document", _cmd_gen_corpus, seed, count, dim, shape)
-    p.add_argument("--mixed", action="store_true", help="do not force zero-dimensionality")
+    names = list(_COMMANDS) if command is None else [command]
+    # one command's tree keeps the usage line that lists every command; the
+    # whole tree takes no metavar, so that its errors name the argument "command"
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    parents: dict[str, argparse.ArgumentParser] = {}
+    for name in names:
+        cmd = _COMMANDS[name]
+        for group in cmd.groups:
+            if group not in parents:
+                parents[group] = argparse.ArgumentParser(add_help=False)
+                _add_flags(parents[group], _FLAG_GROUPS[group])
+        _add_flags(sub.add_parser(name, help=cmd.help, parents=[parents[g] for g in cmd.groups]), cmd.flags)
     return parser
 
 
@@ -251,14 +260,59 @@ def _cmd_gen_corpus(args):
     return 0, None, doc
 
 
+class _Command(NamedTuple):
+    help: str
+    run: Callable  # args -> (exit code, reports or None, extra document fields)
+    groups: tuple[str, ...]  # keys of _FLAG_GROUPS
+    flags: tuple = ()  # the command's own (flag, add_argument keywords) pairs
+
+
+# every command, in the order of the help listing
+_COMMANDS = {
+    "lct": _Command("diagonal entry value mu and log canonical threshold", _cmd_lct, ("io",)),
+    "mult": _Command(
+        "Samuel multiplicity (covolume)",
+        _cmd_mult,
+        ("io",),
+        (("--t-max", {"type": _NONNEGATIVE, "default": 0, "help": "also report n! colength(J^t)/t^n for t = 1..t_max"}),),
+    ),
+    "length": _Command("colength (number of standard monomials)", _cmd_length, ("io",)),
+    "polytope": _Command("facet description of the Newton polytope", _cmd_polytope, ("io",)),
+    "closure": _Command("integral closure and maximal-power detection", _cmd_closure, ("io",)),
+    "verify": _Command(
+        "zero-dimensional invariant suite over a file or seeded corpus", _cmd_verify, ("io", "seed", "count", "dim", "shape")
+    ),
+    "codim2": _Command("two-variable factor bounds over a file or seeded corpus", _cmd_codim2, ("io", "seed", "count", "shape")),
+    "degenerate": _Command(
+        "initial ideal and tangent-cone degeneration of a polynomial ideal",
+        _cmd_degenerate,
+        ("io",),
+        (("--order", {"choices": ("lex", "grevlex"), "default": "grevlex"}), _BUDGET_FLAG),
+    ),
+    "mu-bound": _Command(
+        "certified upper bound for mu via monomial degenerations",
+        _cmd_mu_bound,
+        ("io", "seed"),
+        (_BUDGET_FLAG, ("--trials", {"type": _NONNEGATIVE, "default": 8})),
+    ),
+    "gen-corpus": _Command(
+        "emit a reproducible corpus document",
+        _cmd_gen_corpus,
+        ("seed", "count", "dim", "shape"),
+        (("--mixed", {"action": "store_true", "help": "do not force zero-dimensionality"}),),
+    ),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, reports, extra = args.run(args)
+        code, reports, extra = _COMMANDS[args.command].run(args)
         if reports is None:
             out = render_json(extra)  # gen-corpus emits its own JSON document
         else:

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from .errors import ConsistencyError, NotZeroDimensionalError, ideal_shape
 from .ideals import Exponent, MonomialIdeal, colength, exp_min, exp_sub, shift_ideal
@@ -169,6 +170,19 @@ def _is_identity(matrix: list[list[int]]) -> bool:
     return all(v == (i == j) for i, row in enumerate(matrix) for j, v in enumerate(row))
 
 
+def _check_length_bound(n: int, length: int, mu: Fraction, label: str, I: PolyIdeal) -> None:
+    """The paper's length bound on one certified trial, in integers.
+
+    The trial's monomial initial ideal has the input's length l and the
+    trial's mu_t, and the bound for monomial ideals gives l > n^n mu_t^n / n!
+    for n >= 2 (l >= mu_t for n = 1, and l = mu_t = 0 for the unit ideal).
+    Since 1/lct(I) <= mu_t, this is the paper's l(O/I) >= n^n / (n! lct(I)^n).
+    """
+    lhs, rhs = length * mu.denominator**n * factorial(n), n**n * mu.numerator**n
+    if lhs < rhs or (lhs == rhs and n >= 2 and mu):
+        raise ConsistencyError(f"{label} broke the length bound l > n^n mu^n / n! on {ideal_shape(I)}")
+
+
 def mu_upper_bound_details(
     I: PolyIdeal, trials: int = 8, seed: int = 0, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[str, Fraction | None]]:
@@ -196,6 +210,9 @@ def mu_upper_bound_details(
     * P not certified: when b = 0 the trial's part lies in phi(P), which
       does not certify either, so no truncation runs.  A shear that makes a
       factor of P monomial (b != 0) searches its own N.
+
+    Each distinct certified trial of finite length is checked against the
+    paper's length bound (_check_length_bound), which costs no truncation.
     """
     rng = random.Random(seed)
     grevlex = default_order("grevlex", I.n)
@@ -234,7 +251,10 @@ def mu_upper_bound_details(
                     data = certify_truncation(I.n, part, order, budget)
                 except NotZeroDimensionalError:
                     data = None
-            certified = data is not None and data.certified
-            mus[trial] = compute_mu(_cone(I.n, part_content, data).initial).mu if certified else None
+            mus[trial] = None
+            if data is not None and data.certified:
+                mus[trial] = compute_mu(_cone(I.n, part_content, data).initial).mu
+                if I.n == 1 or not any(part_content):  # a monomial factor in n >= 2 variables makes the length infinite
+                    _check_length_bound(I.n, data.local_length + sum(part_content), mus[trial], label, I)
         out.append((label, mus[trial]))
     return out

@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import FormatError, ParseError, ResourceError
-from .ideals import MonomialIdeal, _validate_exponent
+from .ideals import MonomialIdeal, _antichain, _validate_exponent
 from .polynomials import PolyIdeal, RationalPolynomial
 
 
@@ -47,6 +47,12 @@ def format_rational(x) -> str:
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _json_type(value) -> str:
+    """What a message names instead of a caller's value, whose size the caller chooses."""
+    return "null" if value is None else _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 def parse_rational(s, context: str = "value") -> Fraction:
@@ -58,12 +64,16 @@ def parse_rational(s, context: str = "value") -> Fraction:
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {type(s).__name__}", context)
     if not _RATIONAL.fullmatch(s):
-        raise ParseError(f"bad rational {s!r}: expected the form p or p/q", context)
+        raise ParseError(f"bad rational string of length {len(s)}: expected the form p or p/q", context)
     num, _, den = s.partition("/")
     try:
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {s!r}: {exc}", context) from None
+    except ZeroDivisionError:
+        raise ParseError(f"bad rational string of length {len(s)}: zero denominator", context) from None
+    except ValueError:  # int() has a digit limit
+        raise ParseError(
+            f"bad rational string of length {len(s)}: a number has more than {sys.get_int_max_str_digits()} digits", context
+        ) from None
 
 
 def _expect_exponents(raw, nvars: int, context: str) -> tuple[int, ...]:
@@ -80,7 +90,8 @@ def document_to_ideal(doc, context: str = "$") -> MonomialIdeal | PolyIdeal:
         raise ParseError("ideal document must be a JSON object", context)
     nvars = doc.get("vars")
     if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 1:
-        raise ParseError(f"'vars' must be a positive integer, got {nvars!r}", f"{context}.vars")
+        got = "an integer below 1" if isinstance(nvars, int) and not isinstance(nvars, bool) else _json_type(nvars)
+        raise ParseError(f"'vars' must be a positive integer, got {got}", f"{context}.vars")
     kind = doc.get("kind")
     gens = doc.get("generators")
     if not isinstance(gens, list) or not gens:
@@ -89,7 +100,7 @@ def document_to_ideal(doc, context: str = "$") -> MonomialIdeal | PolyIdeal:
         exps = [
             _expect_exponents(g, nvars, f"{context}.generators[{i}]") for i, g in enumerate(gens)
         ]
-        return MonomialIdeal(nvars, tuple(exps))
+        return MonomialIdeal._from_antichain(nvars, _antichain(exps))  # the exponents are validated
     if kind == "polynomial":
         polys = []
         for i, terms in enumerate(gens):
@@ -109,12 +120,13 @@ def document_to_ideal(doc, context: str = "$") -> MonomialIdeal | PolyIdeal:
                     acc[exp] += coeff
                 else:
                     acc[exp] = coeff
-            poly = RationalPolynomial(nvars, acc)
-            if poly.is_zero:
+            nonzero = {e: c for e, c in acc.items() if c}
+            if not nonzero:
                 raise ParseError("generator terms cancel to the zero polynomial", gctx)
-            polys.append(poly)
+            polys.append(RationalPolynomial._from_terms(nvars, nonzero))  # the exponents are validated
         return PolyIdeal(nvars, tuple(polys))
-    raise ParseError(f"'kind' must be 'monomial' or 'polynomial', got {kind!r}", f"{context}.kind")
+    got = "another string" if isinstance(kind, str) else _json_type(kind)
+    raise ParseError(f"'kind' must be 'monomial' or 'polynomial', got {got}", f"{context}.kind")
 
 
 def ideal_to_document(obj: MonomialIdeal | PolyIdeal) -> dict:

@@ -49,6 +49,13 @@ class RationalPolynomial:
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
+    def _from_terms(cls, n: int, terms: dict[Exponent, Fraction]) -> RationalPolynomial:
+        """A polynomial from validated exponents and nonzero Fractions, skipping the checks and the merge."""
+        f = object.__new__(cls)
+        f.n, f.terms = n, terms
+        return f
+
+    @classmethod
     def monomial(cls, n: int, exp: Exponent, coeff=1) -> RationalPolynomial:
         return cls(n, {tuple(exp): coeff})
 

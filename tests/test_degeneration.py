@@ -556,6 +556,27 @@ class TestMuUpperBound:
         with pytest.raises(NotZeroDimensionalError):
             least_certified_mu(mu_upper_bound_details(I, trials=2, seed=0, budget=8))
 
+    @pytest.mark.parametrize(
+        "I",
+        [
+            PolyIdeal(1, (P(1, (1, (5,)), (1, (6,))),)),  # one variable: l = mu = 5, the bound's equality case
+            PolyIdeal(2, (P(2, (1, (0, 0)), (1, (1, 0))),)),  # a unit at the origin: l = mu = 0
+            BOUNDARY_PRIMITIVE,
+            random_origin_ideal(mix(4242, 1), 3),
+        ],
+        ids=["one-variable", "unit", "worked", "origin-n3"],
+    )
+    def test_mu_past_the_length_bound_is_inconsistent(self, monkeypatch, I):
+        from dataclasses import replace
+
+        from staircase import degeneration
+
+        mu_upper_bound_details(I)  # the true mu keeps the bound
+        real = degeneration.compute_mu
+        monkeypatch.setattr(degeneration, "compute_mu", lambda J: replace(real(J), mu=real(J).mu * 10 + 1))
+        with pytest.raises(ConsistencyError, match="broke the length bound"):
+            mu_upper_bound_details(I)
+
 
 def _fraction_pivots(rows, ncols):
     """Pivot columns and rank of rational Gaussian elimination, columns

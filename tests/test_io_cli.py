@@ -107,6 +107,30 @@ class TestFormat:
                 parse_ideal_text(json.dumps(doc))
             assert str(err.value).startswith(where + ": ") and fragment in str(err.value)
 
+    def test_each_exponent_is_validated_once(self, monkeypatch):
+        # the parser validates; the ideal and the polynomials are then built without a second check
+        from staircase.ideals import _validate_exponent
+
+        calls = []
+
+        def counted(e, n):
+            calls.append(n)
+            return _validate_exponent(e, n)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("staircase")]:
+            if hasattr(module, "_validate_exponent"):
+                monkeypatch.setattr(module, "_validate_exponent", counted)
+        (J,) = parse_ideal_text(json.dumps({"vars": 2, "kind": "monomial", "generators": [[2, 0], [2, 1], [0, 3]]}))
+        assert (J.gens, len(calls)) == (((0, 3), (2, 0)), 3)
+        calls.clear()
+        parse_ideal_text(json.dumps(POLY_DOC))
+        assert len(calls) == 3
+
+    def test_terms_that_cancel_are_dropped(self):
+        terms = [{"coeff": "1", "exp": [2, 0]}, {"coeff": "1/2", "exp": [0, 1]}, {"coeff": "-1/2", "exp": [0, 1]}]
+        (I,) = parse_ideal_text(json.dumps({"vars": 2, "kind": "polynomial", "generators": [terms]}))
+        assert I.gens[0].terms == {(2, 0): 1}
+
     def test_exponent_validator_refuses_a_non_sequence(self):
         from staircase import FormatError, RationalPolynomial
         from staircase.ideals import _validate_exponent
@@ -352,6 +376,24 @@ class TestCli:
         code, _, err = run_cli(capsys, "lct", "--input", str(bad))
         assert code == 2 and "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vars": 1, "kind": "polynomial", "generators": [[{"coeff": "7" * 5000, "exp": [1]}]]},  # past the digit limit
+            {"vars": 1, "kind": "polynomial", "generators": [[{"coeff": "7" * 5000 + "/x", "exp": [1]}]]},
+            {"vars": 1, "kind": "polynomial", "generators": [[{"coeff": "7" * 4000 + "/0", "exp": [1]}]]},
+            {"vars": "v" * 300, "kind": "monomial", "generators": [[1]]},
+            {"vars": 1, "kind": ["monomial"] * 50, "generators": [[1]]},
+        ],
+        ids=["long-coefficient", "malformed-coefficient", "zero-denominator", "vars-string", "kind-list"],
+    )
+    def test_parse_errors_do_not_echo_the_value(self, capsys, monkeypatch, tmp_path, doc):
+        monkeypatch.chdir(tmp_path)  # the message names the relative path
+        Path("doc.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "degenerate", "--input", "doc.json")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "lct")
         assert code == 2 and "--input" in err
@@ -458,7 +500,7 @@ class TestCliProcess:
         def failing(args):
             raise exc
 
-        monkeypatch.setattr(cli, "_cmd_verify", failing)
+        monkeypatch.setitem(cli._COMMANDS, "verify", cli._COMMANDS["verify"]._replace(run=failing))
         code, out, err = run_cli(capsys, "verify", "--count", "1")
         assert (code, out, err) == (3, "", f"staircase verify: {line}\n")
 
@@ -723,6 +765,73 @@ def test_numeric_flags_keep_the_int_message(capsys, command, flag):
 def test_numeric_flag_bounds_are_inclusive(capsys):
     code, out, _ = run_cli(capsys, "verify", "--count", "0")
     assert code == 0 and json.loads(out)["reports"] == []
+
+
+# main builds the whole tree only when argv does not start with a command
+# name; on every path it must print what the whole tree prints
+PARSE_PATHS = [
+    (),
+    ("bogus",),
+    ("--version",),
+    ("-h",),
+    ("verify", "--version"),
+    ("verify", "--bogus"),
+    ("verify", "--inp", "x"),  # a prefix of --input
+    ("verify", "-h"),
+    ("degenerate", "--order", "bad"),
+    ("mu-bound", "--budget", "1"),
+    ("gen-corpus", "--input", "x"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_PATHS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_whole_tree(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    try:
+        expected, code = build_parser().parse_args(list(argv)), None
+    except SystemExit as exc:
+        expected, code = None, exc.code
+    whole = capsys.readouterr()
+    parsed = []
+    real = argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsed.append(real(self, *args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    main_code = main(list(argv))
+    out = capsys.readouterr()
+    if expected is None:
+        assert (main_code, out.out, out.err, parsed) == (code, whole.out, whole.err, [])
+    else:  # the parse succeeded and main went on to run the command
+        assert parsed == [expected]
+
+
+def test_command_errors_name_the_command_argument(capsys):
+    code, _, err = run_cli(capsys, "bogus")
+    last = err.splitlines()[-1]
+    assert code == 2 and last.startswith("staircase: error: argument command: invalid choice: 'bogus' (choose from ")
+    assert all(name in last for name in COMMAND_FLAGS) and last.endswith(")")
+    code, _, err = run_cli(capsys)
+    assert code == 2 and err.splitlines()[-1] == "staircase: error: the following arguments are required: command"
+
+
+@pytest.mark.parametrize("argv, limit", [(("verify", "--count", "0"), 7), (("degenerate", "--input", "poly.json"), 3)], ids=["verify", "degenerate"])
+def test_a_command_builds_only_its_own_parsers(capsys, monkeypatch, tmp_path, argv, limit):
+    # the whole tree is 16 parsers: the top one, ten commands and five flag groups
+    monkeypatch.chdir(tmp_path)
+    Path("poly.json").write_text(json.dumps(POLY_DOC))
+    calls = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(calls) <= limit
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help layout was recorded under Python 3.11")
