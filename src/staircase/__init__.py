@@ -43,6 +43,7 @@ from .invariants import (
     codim2_corpus,
     multiplicity,
     multiplicity_limit_estimate,
+    random_corpus,
     random_ideal,
     verify_codim2,
     verify_zero_dim,

@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 a verified inequality failed (a counterexample
-document is printed, which signals an implementation bug), 2 usage or input
-errors (including inputs over a resource budget), 3 an unexpected error such
-as running out of memory (one line on stderr).  All reports are deterministic
-for a fixed invocation and seed.
+Exit codes: 0 success, 1 a verified inequality failed, which signals an
+implementation bug (verify and codim2 print their report document, whose
+failed count and violations name the broken checks; a ConsistencyError prints
+a counterexample document), 2 usage or input errors (including inputs over a
+resource budget), 3 an unexpected error such as running out of memory (one
+line on stderr).  All reports are deterministic for a fixed invocation and seed.
 
 A call whose first argument names a command builds the top parser over that
 command's subparser alone, with only the flag groups the command reads; any
@@ -26,16 +27,7 @@ from .errors import ConsistencyError, NotZeroDimensionalError, StaircaseError
 from .groebner import initial_ideal
 from .ideal_io import corpus_to_document, ideal_to_document, parse_ideal_file
 from .ideals import MonomialIdeal, colength, integral_closure, is_power_of_maximal
-from .invariants import (
-    _mix,
-    codim2_corpus,
-    multiplicity,
-    multiplicity_limit_estimate,
-    random_ideal,
-    verify_codim2,
-    verify_zero_dim,
-    zero_dim_corpus,
-)
+from .invariants import multiplicity, multiplicity_limit_estimate, random_corpus, verify_codim2, verify_zero_dim
 from .macaulay import DEFAULT_BUDGET
 from .polynomials import PolyIdeal, default_order
 from .polytope import build_polytope, compute_mu
@@ -195,29 +187,25 @@ def _corpus_echo(args) -> dict:
     return {flag: getattr(args, flag) for flag in _CORPUS_FLAGS if hasattr(args, flag)}
 
 
-def _run_suite(args, corpus, check, to_dict):
-    """One suite over --input or, without it, over corpus(); exit 1 if any report has violations."""
+def _run_suite(args, dims, zero_dim: bool, check, to_dict):
+    """One suite over --input or, without it, over the seeded corpus in dims;
+    exit 1 if any report has violations."""
     if args.input:
         ideals, echo = _load_monomials(args), {"path": args.input}
     else:
-        ideals, echo = corpus(), _corpus_echo(args)
+        ideals = random_corpus(args.seed, args.count, dims, args.max_exp, args.max_gens, zero_dim)
+        echo = _corpus_echo(args)
     reports = [to_dict(check(J, fatal=False)) for J in ideals]
     failed = sum(1 for r in reports if r["violations"])
     return (1 if failed else 0), reports, {"input": echo, "failed": failed}
 
 
 def _cmd_verify(args):
-    def corpus():
-        return zero_dim_corpus(args.seed, args.count, dims=(args.dim,), max_exp=args.max_exp, max_gens=args.max_gens)
-
-    return _run_suite(args, corpus, verify_zero_dim, zero_dim_report_dict)
+    return _run_suite(args, (args.dim,), True, verify_zero_dim, zero_dim_report_dict)
 
 
 def _cmd_codim2(args):
-    def corpus():
-        return codim2_corpus(args.seed, args.count, max_exp=args.max_exp, max_gens=args.max_gens)
-
-    return _run_suite(args, corpus, verify_codim2, codim2_report_dict)
+    return _run_suite(args, (2,), False, verify_codim2, codim2_report_dict)
 
 
 def _cmd_degenerate(args):
@@ -251,10 +239,7 @@ def _cmd_mu_bound(args):
 
 
 def _cmd_gen_corpus(args):
-    ideals = [
-        random_ideal(_mix(args.seed, i), args.dim, args.max_exp, args.max_gens, not args.mixed)
-        for i in range(args.count)
-    ]
+    ideals = random_corpus(args.seed, args.count, (args.dim,), args.max_exp, args.max_gens, not args.mixed)
     doc = corpus_to_document(ideals)
     doc["input"] = {**_corpus_echo(args), "mixed": args.mixed}
     return 0, None, doc

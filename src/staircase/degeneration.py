@@ -121,10 +121,8 @@ def initial_ideal_truncated(I: PolyIdeal, order: MonomialOrder, budget: int = DE
 def check_length_preservation(I: PolyIdeal, order: MonomialOrder | None = None, budget: int = DEFAULT_BUDGET) -> LengthCheck:
     """TangentCone.length_check of I.  A monomial factor in n >= 2 variables
     raises NotZeroDimensionalError before any truncation runs."""
-    content, part = _split_content(I.integer_generators)
-    _require_finite_length(I.n, content)
-    data = certify_truncation(I.n, part, order or default_order("grevlex", I.n), budget)
-    return _cone(I.n, content, data).length_check()
+    _require_finite_length(I.n, _split_content(I.integer_generators)[0])
+    return tangent_cone(I, order, budget).length_check()
 
 
 def _shear_matrix(rng: random.Random, n: int) -> list[list[int]]:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .errors import FormatError, ParseError, ResourceError
 from .ideals import MonomialIdeal, _antichain, _validate_exponent
-from .polynomials import PolyIdeal, RationalPolynomial
+from .polynomials import PolyIdeal, RationalPolynomial, merge_terms
 
 
 def digit_limit_error() -> ResourceError:
@@ -85,6 +85,15 @@ def _expect_exponents(raw, nvars: int, context: str) -> tuple[int, ...]:
         raise ParseError(str(exc), context) from None
 
 
+def _parse_term(term, nvars: int, context: str) -> tuple[tuple[int, ...], Fraction]:
+    if not isinstance(term, dict) or set(term) != {"coeff", "exp"}:
+        raise ParseError("term must be an object with 'coeff' and 'exp'", context)
+    coeff = parse_rational(term["coeff"], f"{context}.coeff")
+    if coeff == 0:
+        raise ParseError("zero coefficients are not allowed", f"{context}.coeff")
+    return _expect_exponents(term["exp"], nvars, f"{context}.exp"), coeff
+
+
 def document_to_ideal(doc, context: str = "$") -> MonomialIdeal | PolyIdeal:
     if not isinstance(doc, dict):
         raise ParseError("ideal document must be a JSON object", context)
@@ -107,23 +116,10 @@ def document_to_ideal(doc, context: str = "$") -> MonomialIdeal | PolyIdeal:
             gctx = f"{context}.generators[{i}]"
             if not isinstance(terms, list) or not terms:
                 raise ParseError("polynomial generator must be a nonempty term list", gctx)
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for j, term in enumerate(terms):
-                tctx = f"{gctx}[{j}]"
-                if not isinstance(term, dict) or set(term) != {"coeff", "exp"}:
-                    raise ParseError("term must be an object with 'coeff' and 'exp'", tctx)
-                coeff = parse_rational(term["coeff"], f"{tctx}.coeff")
-                if coeff == 0:
-                    raise ParseError("zero coefficients are not allowed", f"{tctx}.coeff")
-                exp = _expect_exponents(term["exp"], nvars, f"{tctx}.exp")
-                if exp in acc:
-                    acc[exp] += coeff
-                else:
-                    acc[exp] = coeff
-            nonzero = {e: c for e, c in acc.items() if c}
-            if not nonzero:
+            merged = merge_terms(_parse_term(term, nvars, f"{gctx}[{j}]") for j, term in enumerate(terms))
+            if not merged:
                 raise ParseError("generator terms cancel to the zero polynomial", gctx)
-            polys.append(RationalPolynomial._from_terms(nvars, nonzero))  # the exponents are validated
+            polys.append(RationalPolynomial._from_terms(nvars, merged))  # the exponents are validated
         return PolyIdeal(nvars, tuple(polys))
     got = "another string" if isinstance(kind, str) else _json_type(kind)
     raise ParseError(f"'kind' must be 'monomial' or 'polynomial', got {got}", f"{context}.kind")

@@ -152,16 +152,23 @@ def is_zero_dimensional(J: MonomialIdeal) -> bool:
 
 
 def pure_power_degrees(J: MonomialIdeal) -> tuple[int, ...]:
-    """For each variable, the least d with x_i^d in the generators.
+    """For each variable, the d with x_i^d in the generators, read in one pass:
+    minimal generators hold at most one power of each variable, and the unit
+    ideal's zero vector is x_i^0 for every i.
 
     Raises DimensionError when some variable has no pure-power generator.
     """
-    degs = []
-    for i in range(J.n):
-        cands = [g[i] for g in J.gens if all(g[j] == 0 for j in range(J.n) if j != i)]
-        if not cands:
-            raise DimensionError(f"{ideal_shape(J)} is not zero-dimensional: no pure power of variable {i}")
-        degs.append(min(cands))
+    n = J.n
+    degs: list[int | None] = [None] * n
+    for g in J.gens:
+        zeros = g.count(0)
+        if zeros == n:
+            return (0,) * n
+        if zeros == n - 1:
+            d = max(g)
+            degs[g.index(d)] = d
+    if None in degs:
+        raise DimensionError(f"{ideal_shape(J)} is not zero-dimensional: no pure power of variable {degs.index(None)}")
     return tuple(degs)
 
 

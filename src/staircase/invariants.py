@@ -278,17 +278,17 @@ def random_ideal(seed: int, n: int, max_exp: int, max_gens: int, force_zero_dim:
     return MonomialIdeal(n, tuple(gens))
 
 
+def random_corpus(seed: int, count: int, dims, max_exp: int, max_gens: int, zero_dim: bool) -> list[MonomialIdeal]:
+    """Seeded corpus of random_ideal draws, ideal i in dims[i % len(dims)]
+    variables; zero_dim forces every draw zero-dimensional."""
+    return [random_ideal(_mix(seed, i), dims[i % len(dims)], max_exp, max_gens, zero_dim) for i in range(count)]
+
+
 def zero_dim_corpus(seed: int, count: int, dims=(1, 2, 3, 4), max_exp: int = 10, max_gens: int = 8) -> list[MonomialIdeal]:
     """Seeded corpus of zero-dimensional ideals cycling through the given dimensions."""
-    return [
-        random_ideal(_mix(seed, i), dims[i % len(dims)], max_exp, max_gens, True)
-        for i in range(count)
-    ]
+    return random_corpus(seed, count, dims, max_exp, max_gens, True)
 
 
 def codim2_corpus(seed: int, count: int, max_exp: int = 10, max_gens: int = 8) -> list[MonomialIdeal]:
     """Seeded corpus of two-variable ideals, gcd parts included by construction chance."""
-    return [
-        random_ideal(_mix(seed, i), 2, max_exp, max_gens, False)
-        for i in range(count)
-    ]
+    return random_corpus(seed, count, (2,), max_exp, max_gens, False)

@@ -32,21 +32,25 @@ def _validate_coefficient(c) -> Fraction:
     return Fraction(c)
 
 
+def merge_terms(terms) -> dict[Exponent, Fraction]:
+    """The (exponent, coefficient) pairs of terms as a term map: coefficients
+    of a repeated exponent are summed, and zero sums dropped."""
+    merged: dict[Exponent, Fraction] = {}
+    for e, c in terms:
+        if e in merged:
+            merged[e] += c
+        elif c:
+            merged[e] = c
+    return {e: c for e, c in merged.items() if c}
+
+
 @dataclass
 class RationalPolynomial:
     n: int
     terms: dict[Exponent, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            e = _validate_exponent(e, self.n)
-            c = _validate_coefficient(c)
-            if e in clean:
-                clean[e] += c
-            elif c:
-                clean[e] = c
-        self.terms = {e: c for e, c in clean.items() if c}
+        self.terms = merge_terms((_validate_exponent(e, self.n), _validate_coefficient(c)) for e, c in self.terms.items())
 
     @classmethod
     def _from_terms(cls, n: int, terms: dict[Exponent, Fraction]) -> RationalPolynomial:

@@ -94,7 +94,7 @@ def _tsv_cell(value, sep: str = ";") -> str:
         return sep.join(_tsv_cell(v, inner) for v in value)
     if isinstance(value, dict):
         return ";".join(f"{k}={_tsv_cell(v, ',')}" for k, v in value.items())
-    return str(value)
+    return value if isinstance(value, str) else format_rational(value)
 
 
 def render_tsv(doc: dict) -> str:
@@ -103,9 +103,6 @@ def render_tsv(doc: dict) -> str:
         return ""
     header = list(reports[0].keys())
     lines = ["\t".join(header)]
-    try:
-        for r in reports:
-            lines.append("\t".join(_tsv_cell(r.get(k)) for k in header))
-    except ValueError:  # an int past Python's int-to-text limit
-        raise digit_limit_error() from None
+    for r in reports:
+        lines.append("\t".join(_tsv_cell(r.get(k)) for k in header))
     return "\n".join(lines) + "\n"

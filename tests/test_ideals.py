@@ -30,6 +30,8 @@ from staircase import (
     shift_ideal,
 )
 from staircase import ideals as ideals_module
+from staircase.errors import DimensionError, ideal_shape
+from staircase.ideals import pure_power_degrees
 from staircase import polytope as polytope_module
 from staircase.invariants import codim2_corpus, random_ideal, zero_dim_corpus
 
@@ -179,6 +181,37 @@ class TestZeroDimensional:
 
     def test_missing_pure_power(self):
         assert not is_zero_dimensional(MonomialIdeal(2, [(2, 0), (1, 1)]))
+
+    @staticmethod
+    def _degrees_by_definition(J):
+        """Per variable, the least d with x_i^d among the generators."""
+        degs = []
+        for i in range(J.n):
+            cands = [g[i] for g in J.gens if all(g[j] == 0 for j in range(J.n) if j != i)]
+            if not cands:
+                raise DimensionError(f"{ideal_shape(J)} is not zero-dimensional: no pure power of variable {i}")
+            degs.append(min(cands))
+        return tuple(degs)
+
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_pure_power_degrees_match_the_definition(self, data, n):
+        # random generators, the zero vector (the unit ideal) among them, plus
+        # pure powers of some variables, so both outcomes come up often
+        gens = data.draw(st.lists(exponents(n, 4), min_size=1, max_size=6))
+        powers = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 6)), max_size=n + 1))
+        J = MonomialIdeal(n, gens + [tuple(d if j == i else 0 for j in range(n)) for i, d in powers])
+
+        def outcome(degrees):
+            try:
+                return degrees(J)
+            except DimensionError as exc:
+                return str(exc)
+
+        assert outcome(pure_power_degrees) == outcome(self._degrees_by_definition)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pure_power_degrees_of_the_unit_ideal(self, n):
+        assert pure_power_degrees(MonomialIdeal(n, [(0,) * n, (1,) * n])) == (0,) * n
 
 
 class TestColength:

@@ -11,12 +11,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import mix, random_origin_ideal
-from staircase import ConsistencyError, MonomialIdeal, ParseError, PolyIdeal
+from staircase import ConsistencyError, MonomialIdeal, ParseError, PolyIdeal, RationalPolynomial
 from staircase.cli import build_parser, main
 from staircase.ideal_io import (
     format_rational,
@@ -60,6 +61,17 @@ class TestFormat:
         (I,) = parse_ideal_text(json.dumps(POLY_DOC))
         assert isinstance(I, PolyIdeal)
         assert {tuple(sorted(g.terms)) for g in I.gens} == {((6, 0),), ((0, 2), (2, 1))}
+
+    def test_repeated_exponents_are_summed(self):
+        # x1^2 x2 three times, partly cancelling, and x1^3 twice, cancelling outright
+        terms = [("1/2", [2, 1]), ("3", [0, 4]), ("-1", [2, 1]), ("2", [3, 0]), ("1/3", [2, 1]), ("-2", [3, 0])]
+        doc = {"vars": 2, "kind": "polynomial", "generators": [[{"coeff": c, "exp": e} for c, e in terms]]}
+        (I,) = parse_ideal_text(json.dumps(doc))
+        summed = RationalPolynomial(2, {(2, 1): Fraction(-1, 6), (0, 4): Fraction(3), (3, 0): Fraction(0)})
+        assert I.gens[0].terms == summed.terms == {(2, 1): Fraction(-1, 6), (0, 4): Fraction(3)}
+        doc["generators"] = [[{"coeff": "2", "exp": [1, 1]}, {"coeff": "-2", "exp": [1, 1]}]]
+        with pytest.raises(ParseError, match=re.escape("$.generators[0]: generator terms cancel")):
+            parse_ideal_text(json.dumps(doc))
 
     def test_round_trip_is_stable(self):
         for doc in (BOUNDARY_DOC, POLY_DOC):
@@ -402,8 +414,9 @@ class TestCli:
         assert main(["frobnicate"]) == 2
 
     def test_theorem_violation_exits_1(self, capsys, monkeypatch):
-        # doctor a report so the checker sees a violation: exit 1 plus a
-        # counterexample dump is the contract
+        # doctor a report so the checker sees a violation: exit 1 plus the
+        # ordinary report document, whose failed count and violations say
+        # what broke; the counterexample dump is for a ConsistencyError only
         from staircase import verify_zero_dim as real_verify
 
         def doctored(J, *, fatal=True):
@@ -416,6 +429,7 @@ class TestCli:
         doc = json.loads(out)
         assert doc["failed"] == 3
         assert all("mult_diagonal" in r["violations"] for r in doc["reports"])
+        assert "counterexample" not in doc
 
     @pytest.mark.parametrize("command, check", [("verify", "verify_zero_dim"), ("codim2", "verify_codim2")])
     def test_suite_report_dumps_counterexample(self, capsys, monkeypatch, simple_file, command, check):
@@ -606,6 +620,8 @@ PINNED_DIGESTS = {
     ("degenerate", "--input", "origin-c.json"): "157ff32b9216a5c9a9065fc1424cfee80b6f1242aa65e5f17bffa2cd2ce8b158",
     # recorded before gen-corpus lost its unread --input and --format
     ("gen-corpus", "--seed", "3", "--count", "20", "--dim", "3", "--mixed"): "282ae7ddcf6d7c096d208bea737dacd4de3dc7df32801bb1f248ac96c20e2d59",
+    # recorded before gen-corpus and the suites shared one seeded corpus loop
+    ("gen-corpus", "--seed", "3", "--count", "20", "--dim", "3"): "0ef4c8656e0a19acb43692052de82cff831a6e7f63515be0b7cd0ed4765da705",
     # recorded before the TSV writer lost its Fraction branch, the report
     # bound triples got one builder and the shears one power expansion
     ("verify", "--seed", "0", "--count", "40", "--dim", "3", "--format", "tsv"): "98f37ed655f62448f7827dd716d83f43876798df41170559d90925a8e8e4ff8d",
